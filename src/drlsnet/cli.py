@@ -15,11 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, config_to_text, parse_config, resolve_config
+from .config import (ConfigError, ExperimentConfig, config_to_text, parse_config,
+                     with_overrides)
 from .filters import NumericalBlowupError
 from .harness import (ExcludedRunThresholdError, Trajectory,
                       compare_theory_empirical, run_ensemble, to_db)
 from .network import TopologyError
+from .theory import TheoryError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -159,21 +161,6 @@ print("wrote", Path(__file__).with_suffix(".png"))
 '''
 
 
-def _apply_override(cfg_raw: dict, dotted: str, value: str) -> None:
-    section, _, key = dotted.partition(".")
-    if not key:
-        raise ConfigError(f"sweep parameter must be section.key, got {dotted!r}")
-    cfg_raw.setdefault(section, {})[key] = value
-
-
-def _raw_from_file(path) -> dict:
-    import configparser
-    parser = configparser.ConfigParser(interpolation=None)
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
-    return {s: dict(parser.items(s)) for s in parser.sections()}
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="drlsnet",
@@ -212,13 +199,12 @@ def main(argv=None) -> int:
                                   steady_tol_db=args.steady_tol_db,
                                   transient_tol_db=args.transient_tol_db)
         if args.command == "sweep":
-            raw = _raw_from_file(args.config)
+            base = parse_config(args.config)
             status = EXIT_OK
             for value in args.values.split(","):
                 value = value.strip()
-                raw_i = {s: dict(kv) for s, kv in raw.items()}
-                _apply_override(raw_i, args.param, value)
-                cfg = resolve_config(raw_i, source=f"{args.config} [{args.param}={value}]")
+                cfg = with_overrides(base, {args.param: value},
+                                     source=f"{args.config} [{args.param}={value}]")
                 key = args.param.split(".")[-1]
                 status = max(status, run_experiment(cfg, out_dir=args.out,
                                                     label=f"{key}={value}"))
@@ -226,7 +212,7 @@ def main(argv=None) -> int:
     except (ConfigError, TopologyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalBlowupError, ExcludedRunThresholdError, RuntimeError) as exc:
+    except (NumericalBlowupError, ExcludedRunThresholdError, TheoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -252,16 +252,38 @@ def resolve_config(raw: dict[str, dict[str, str]], source: str = "<dict>") -> Ex
     return cfg
 
 
+def _sections(parser: configparser.ConfigParser) -> dict[str, dict[str, str]]:
+    if parser.defaults():
+        raise ConfigError("top-level keys outside a section are not allowed")
+    return {section: dict(parser.items(section)) for section in parser.sections()}
+
+
 def parse_config(path) -> ExperimentConfig:
     """Read and validate a sectioned key/value config file."""
     parser = configparser.ConfigParser(interpolation=None)
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    raw = {section: dict(parser.items(section)) for section in parser.sections()}
-    if parser.defaults():
-        raise ConfigError("top-level keys outside a section are not allowed")
-    return resolve_config(raw, source=str(path))
+    return resolve_config(_sections(parser), source=str(path))
+
+
+def with_overrides(cfg: ExperimentConfig, overrides: dict[str, str],
+                   source: str = "<overrides>") -> ExperimentConfig:
+    """A new config: cfg with each dotted `section.key` set from a raw string.
+
+    cfg is written in its own file format (config_to_text) and read back,
+    so edges, lists and matrices keep the text form the parser expects; the
+    result is validated in full.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(config_to_text(cfg))
+    raw = _sections(parser)
+    for dotted, value in overrides.items():
+        section, _, key = dotted.partition(".")
+        if not key:
+            raise ConfigError(f"override must be section.key, got {dotted!r}")
+        raw.setdefault(section, {})[key] = value
+    return resolve_config(raw, source=source)
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:

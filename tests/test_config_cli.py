@@ -1,20 +1,35 @@
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drlsnet.cli import (CSV_COLUMNS, EXIT_ACCEPTANCE, EXIT_OK,
+from drlsnet import cli, theory
+from drlsnet.cli import (CSV_COLUMNS, EXIT_ACCEPTANCE, EXIT_NUMERIC, EXIT_OK,
                          EXIT_VALIDATION, main, run_experiment)
 from drlsnet.config import (ConfigError, config_to_text, parse_config,
-                            resolve_config)
+                            resolve_config, with_overrides)
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 SMALL = {
     "network": {"nodes": "4", "topology": "ring"},
     "signal": {"period": "8", "taps": "3"},
     "ensemble": {"runs": "3", "iterations": "120", "master_seed": "5"},
+    "output": {"plot_script": "false"},
+}
+
+
+# a path graph with explicit combination rows, noise variances and phases:
+# every list-valued field the text form has to carry
+EXPLICIT = {
+    "network": {"nodes": "3", "topology": "explicit", "edges": "0-1, 1-2",
+                "combination_rows": "0.5, 0.5, 0; 0.5, 0.25, 0.5; 0, 0.25, 0.5",
+                "noise_variances": "0.02, 0.05, 0.08"},
+    "signal": {"period": "8", "taps": "2", "phases": "0, 2, 4"},
+    "ensemble": {"runs": "2", "iterations": "60", "master_seed": "3"},
     "output": {"plot_script": "false"},
 }
 
@@ -81,6 +96,22 @@ class TestParsing:
                               "signal": {"phases": "0, 4, 8"}})
         profiles = cfg.build_profiles()
         assert [p.phase for p in profiles] == [0, 4, 8]
+
+    def test_with_overrides_keeps_explicit_edges_and_lists(self):
+        cfg = resolve_config(EXPLICIT)
+        out = with_overrides(cfg, {"signal.period": "4", "ensemble.runs": "7"})
+        assert out["signal"]["period"] == 4
+        assert out["ensemble"]["runs"] == 7
+        out.values["signal"]["period"] = cfg["signal"]["period"]
+        out.values["ensemble"]["runs"] = cfg["ensemble"]["runs"]
+        assert out.values == cfg.values
+
+    def test_with_overrides_rejects_bad_key(self):
+        cfg = resolve_config(SMALL)
+        with pytest.raises(ConfigError, match="section.key"):
+            with_overrides(cfg, {"period": "4"})
+        with pytest.raises(ConfigError, match=r"signal\.periodd"):
+            with_overrides(cfg, {"signal.periodd": "4"})
 
 
 class TestRunExperiment:
@@ -180,3 +211,45 @@ class TestMain:
         write_ini(path, SMALL)
         assert main(["sweep", str(path), "--param", "nonsense",
                      "--values", "1"]) == EXIT_VALIDATION
+
+    def test_singular_ephi_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "c.ini"
+        write_ini(path, SMALL)
+        monkeypatch.setattr(theory, "expected_phi_step",
+                            lambda EPhi_prev, R_x_n, lam: np.zeros_like(EPhi_prev))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+        assert "not invertible" in capsys.readouterr().err
+
+    def test_programming_error_is_not_numeric_failure(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.ini"
+        write_ini(path, SMALL)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("programming error")
+
+        monkeypatch.setattr(cli, "run_ensemble", broken)
+        with pytest.raises(RuntimeError, match="programming error"):
+            main(["run", str(path), "--out", str(tmp_path / "out")])
+
+    def test_sweep_explicit_edges(self, tmp_path):
+        path = tmp_path / "c.ini"
+        write_ini(path, EXPLICIT)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(path), "--param", "signal.period",
+                     "--values", "4", "--out", str(out)]) == EXIT_OK
+        assert (out / "experiment_period=4_trajectory.csv").exists()
+
+
+def test_reproduce_full_scale_script_explicit_edges(tmp_path, capsys):
+    path = tmp_path / "c.ini"
+    write_ini(path, EXPLICIT)
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_full_scale", ROOT / "scripts" / "reproduce_full_scale.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "out"
+    assert script.main(["--config", str(path), "--out", str(out),
+                        "--runs", "1", "--periods", "4,8"]) == 0
+    for T in (4, 8):
+        assert (out / f"experiment_T={T}_trajectory.csv").exists()
+    assert "== period T=8 ==" in capsys.readouterr().out

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from drlsnet import theory
+from drlsnet.config import parse_config
 from drlsnet.filters import init_state, rls_iteration
 from drlsnet.network import build_combination_matrix, build_topology
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
@@ -15,6 +19,24 @@ LAM = 0.995
 PULSED4 = CyclostationaryProfile(kind="pulsed", period=4, duty_cycle=0.5,
                                  v_low=2e-3, v_high=2.0)
 CONST = CyclostationaryProfile(kind="constant", level=1.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def einsum_k_matrix_step(Kmat_prev, EPhi_n, EPhi_prev, A, lam,
+                         noise_variances, R_x_n):
+    """Reference second-moment step: the contractions written as einsum."""
+    B = np.linalg.solve(EPhi_n, EPhi_prev)
+    inner = lam ** 2 * np.einsum("pab,pqbc,qdc->pqad", B, Kmat_prev, B)
+    noise = np.linalg.solve(EPhi_n, R_x_n)
+    noise = np.linalg.solve(EPhi_n, np.swapaxes(noise, -1, -2))
+    idx = np.arange(EPhi_n.shape[0])
+    inner[idx, idx] += noise_variances[:, None, None] * noise
+    out = np.einsum("pk,ql,pqab->klab", A, A, inner)
+    return 0.5 * (out + np.swapaxes(np.swapaxes(out, 0, 1), -1, -2))
+
+
+def _rel_dev(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 class TestExpectedPhi:
@@ -184,6 +206,30 @@ class TestKMatrix:
         dense = 0.5 * (dense + dense.T)
         assert np.abs(expand_blocks(out) - dense).max() < 1e-12 * np.abs(dense).max()
 
+    @pytest.mark.parametrize("K, L", [(1, 1), (1, 4), (4, 1), (2, 5), (5, 2),
+                                      (4, 4), (7, 3)])
+    def test_matches_einsum_oracle(self, K, L):
+        # random SPD blocks and a non-symmetric column-stochastic A
+        rng = np.random.default_rng(100 * K + L)
+
+        def spd_blocks():
+            M = rng.standard_normal((K, L, L))
+            return M @ np.swapaxes(M, -1, -2) + 0.1 * np.eye(L)
+
+        M = rng.standard_normal((K * L, K * L))
+        Kprev = (M @ M.T).reshape(K, L, K, L).transpose(0, 2, 1, 3).copy()
+        EPhi_prev, R = spd_blocks(), spd_blocks()
+        EPhi_n = expected_phi_step(EPhi_prev, R, LAM)
+        A = rng.random((K, K))
+        A /= A.sum(axis=0)
+        if K > 1:
+            assert not np.allclose(A, A.T)
+        sz = rng.uniform(0.01, 0.1, K)
+        out = k_matrix_step(Kprev, EPhi_n, EPhi_prev, A, LAM, sz, R)
+        want = einsum_k_matrix_step(Kprev, EPhi_n, EPhi_prev, A, LAM, sz, R)
+        assert out.shape == (K, K, L, L)
+        assert _rel_dev(out, want) <= 1e-12
+
     def test_symmetry_and_psd_over_many_steps(self):
         topo = build_topology("random_geometric", 5, radius=0.6, seed=2)
         A = build_combination_matrix(topo).A
@@ -277,8 +323,59 @@ class TestTrajectory:
                                       LAM, 0.01, 100)
         assert np.isfinite(traj.msd).all()
 
+    @pytest.mark.parametrize("period, taps", [(8, 5), (3, 7)])
+    def test_per_step_input_covariance_is_input_covariance(self, monkeypatch,
+                                                           period, taps):
+        # every R_x(n) the trajectory feeds its steps, n = 1..2T
+        params = ColoredProcessParams(rho=0.7, length=taps)
+        profs = [CyclostationaryProfile(kind="pulsed", period=period, duty_cycle=0.5,
+                                        v_low=2e-3, v_high=2.0, phase=p)
+                 for p in (0, 2, 5)]
+        A = build_combination_matrix(build_topology("ring", 3)).A
+        seen = []
+        step = theory.expected_phi_step
+
+        def recording(EPhi_prev, R_x_n, lam):
+            seen.append(R_x_n.copy())
+            return step(EPhi_prev, R_x_n, lam)
+
+        monkeypatch.setattr(theory, "expected_phi_step", recording)
+        theoretical_trajectory(profs, params, A, np.full(3, 0.05),
+                               make_ground_truth(taps, 3).w_star,
+                               LAM, 0.01, 2 * period)
+        assert len(seen) == 2 * period
+        for n, R in enumerate(seen, start=1):
+            want = np.stack([input_covariance(p, params, n) for p in profs])
+            assert np.array_equal(R, want), n
+
     def test_profile_count_mismatch_rejected(self):
         params = ColoredProcessParams(rho=0.5, length=2)
         with pytest.raises(ValueError):
             theoretical_trajectory([CONST], params, np.eye(2), np.full(2, 0.05),
                                    make_ground_truth(2, 9).w_star, LAM, 0.01, 10)
+
+
+class TestFullScale:
+    def test_reproduction_network_theory_smoke(self, monkeypatch):
+        # configs/reproduction_T512.ini network (K=20, L=32, T=512), 200 steps
+        cfg = parse_config(CONFIGS / "reproduction_T512.ini")
+        L = cfg["signal"]["taps"]
+        oracle_dev = []
+        step = theory.k_matrix_step
+
+        def checked(*args):
+            out = step(*args)
+            assert np.array_equal(out, np.swapaxes(np.swapaxes(out, 0, 1), -1, -2))
+            if len(oracle_dev) < 3:
+                oracle_dev.append(_rel_dev(out, einsum_k_matrix_step(*args)))
+            return out
+
+        monkeypatch.setattr(theory, "k_matrix_step", checked)
+        traj = theoretical_trajectory(
+            cfg.build_profiles(), cfg.process_params(), cfg.build_combiner().A,
+            cfg.noise_variances(), make_ground_truth(L, 0).w_star,
+            cfg["algorithm"]["forgetting_factor"], cfg["algorithm"]["delta"], 200)
+        assert traj.msd.shape == (200,)
+        assert np.isfinite(traj.msd).all() and (traj.msd > 0).all()
+        assert len(oracle_dev) == 3
+        assert max(oracle_dev) <= 1e-12
