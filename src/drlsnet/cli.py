@@ -17,10 +17,8 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, ExperimentConfig, config_to_text, parse_config,
                      with_overrides)
-from .filters import NumericalBlowupError
 from .harness import (ExcludedRunThresholdError, Trajectory,
                       compare_theory_empirical, run_ensemble, to_db)
-from .network import TopologyError
 from .theory import TheoryError
 
 EXIT_OK = 0
@@ -209,10 +207,10 @@ def main(argv=None) -> int:
                 status = max(status, run_experiment(cfg, out_dir=args.out,
                                                     label=f"{key}={value}"))
             return status
-    except (ConfigError, TopologyError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalBlowupError, ExcludedRunThresholdError, TheoryError) as exc:
+    except (ExcludedRunThresholdError, TheoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

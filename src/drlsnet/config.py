@@ -183,6 +183,16 @@ def _validate(cfg: ExperimentConfig) -> None:
     def fail(path, msg):
         raise ConfigError(f"{path}: {msg}")
 
+    def build(path, make):
+        # run builds these objects too; building them here makes check reject
+        # exactly what run rejects (disconnected graphs, bad phases, A)
+        try:
+            make()
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            fail(path, str(exc))
+
     if net["nodes"] < 2:
         fail("network.nodes", "must be >= 2")
     if net["topology"] not in ("ring", "random_geometric", "explicit"):
@@ -196,15 +206,13 @@ def _validate(cfg: ExperimentConfig) -> None:
             fail("network.noise_variances", "all entries must be positive")
     if not 0 < net["noise_low"] <= net["noise_high"]:
         fail("network.noise_low", "need 0 < noise_low <= noise_high")
+    build("network", cfg.build_combiner)
 
     if sig["taps"] < 1:
         fail("signal.taps", "must be >= 1")
     if not 0 <= sig["rho"] < 1:
         fail("signal.rho", "must lie in [0, 1)")
-    try:
-        CyclostationaryProfile(phase=sig["phase"], **cfg._profile_kwargs())
-    except ValueError as exc:
-        fail("signal", str(exc))
+    build("signal", cfg.build_profiles)
 
     if not 0.9 <= alg["forgetting_factor"] < 1:
         fail("algorithm.forgetting_factor", "must lie in [0.9, 1)")

@@ -4,33 +4,30 @@ All operations broadcast over arbitrary leading batch dimensions: a state
 with w of shape (..., L) and P of shape (..., L, L) advances every filter
 in the batch at once.  A single node is the degenerate case with no
 leading dimensions; the network simulator uses a leading (runs, K) batch.
+
+The inverse correlation recursion is kept apart from the estimate updates:
+`update_inverse_correlation` advances P and returns the gain g = P_n x_n,
+which the iterations take as an argument.  Only estimates are exchanged in
+the combine step, so node k's P depends on its own regressors, lam and
+delta alone, and RLS and DRLS run on the same data can share one P and
+its gain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .network import CombinationMatrix
 
 
-class NumericalBlowupError(RuntimeError):
-    """Inverse-correlation matrix exceeded the configured magnitude guard."""
-
-    def __init__(self, msg: str, mask: np.ndarray | None = None):
-        super().__init__(msg)
-        self.mask = mask  # leading-dims boolean mask of offending filters
-
-
 @dataclass
 class NodeFilterState:
-    """Weight estimate w, inverse correlation matrix P, scratch estimate psi."""
+    """Weight estimate w and inverse correlation matrix P."""
 
     w: np.ndarray   # (..., L)
     P: np.ndarray   # (..., L, L)
-    psi: np.ndarray = field(default=None)  # type: ignore[assignment]
-    psi_fresh: bool = False
 
     @property
     def length(self) -> int:
@@ -46,48 +43,36 @@ def init_state(L: int, delta: float, batch_shape: tuple[int, ...] = ()) -> NodeF
     return NodeFilterState(w=w, P=P)
 
 
-def update_inverse_correlation(P: np.ndarray, x: np.ndarray, lam: float,
-                               guard: float | None = 1e12) -> np.ndarray:
-    """Rank-one inverse update so that P' is the inverse of lam*Phi + x x^T.
+def update_inverse_correlation(P: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
+    """Rank-one inverse update in place, so that P becomes the inverse of lam*Phi + x x^T.
 
-    P' = lam^-1 (P - lam^-1 P x x^T P / (1 + lam^-1 x^T P x)), symmetrized.
-    The guard flags entries blowing past the configured magnitude, which
-    happens when the input power stays tiny for ~lam^-1 samples.
+    P' = lam^-1 (P - P x x^T P / (lam + x^T P x)).  The rank-one term is
+    built from products Px_i * Px_j, which are exactly symmetric, so a
+    symmetric P stays exactly symmetric.  Returns the gain g = P' x.
     """
     Px = np.einsum("...ij,...j->...i", P, x)
     denom = lam + np.einsum("...i,...i->...", x, Px)  # lam * (1 + x'Px/lam)
-    Pnew = (P - np.einsum("...i,...j->...ij", Px, Px) / denom[..., None, None]) / lam
-    Pnew = 0.5 * (Pnew + np.swapaxes(Pnew, -1, -2))
-    if guard is not None:
-        mags = np.abs(Pnew).max(axis=(-1, -2))
-        if np.any(mags > guard):
-            raise NumericalBlowupError(
-                f"|P| exceeded guard {guard:g} (max {mags.max():.3e})",
-                mask=np.asarray(mags > guard),
-            )
-    return Pnew
+    outer = Px[..., :, None] * Px[..., None, :]
+    outer /= denom[..., None, None]
+    P -= outer
+    P /= lam
+    return np.einsum("...ij,...j->...i", P, x)
 
 
-def adapt(state: NodeFilterState, x: np.ndarray, d: np.ndarray, lam: float,
-          guard: float | None = 1e12) -> np.ndarray:
-    """Local RLS step: prior error, P update, intermediate estimate psi.
+def adapt(state: NodeFilterState, x: np.ndarray, d: np.ndarray,
+          gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Local RLS step given the gain g = P_n x_n.
 
-    Returns the pre-update errors e = d - x^T w.
+    Returns the prior errors e = d - x^T w and the estimate psi = w + g e.
     """
     e = d - np.einsum("...i,...i->...", x, state.w)
-    state.P = update_inverse_correlation(state.P, x, lam, guard=guard)
-    gain = np.einsum("...ij,...j->...i", state.P, x)
-    state.psi = state.w + gain * e[..., None]
-    state.psi_fresh = True
-    return e
+    return e, state.w + gain * e[..., None]
 
 
-def rls_iteration(state: NodeFilterState, x: np.ndarray, d: np.ndarray, lam: float,
-                  guard: float | None = 1e12) -> np.ndarray:
+def rls_iteration(state: NodeFilterState, x: np.ndarray, d: np.ndarray,
+                  gain: np.ndarray) -> np.ndarray:
     """Non-cooperative RLS: adapt and keep psi as the new weight estimate."""
-    e = adapt(state, x, d, lam, guard=guard)
-    state.w = state.psi
-    state.psi_fresh = False
+    e, state.w = adapt(state, x, d, gain)
     return e
 
 
@@ -99,7 +84,6 @@ class DrlsNetworkState:
     combiner: CombinationMatrix
     lam: float
     delta: float
-    guard: float | None = 1e12
 
     def __post_init__(self):
         if not 0.9 <= self.lam < 1:
@@ -109,33 +93,27 @@ class DrlsNetworkState:
 
 
 def init_network(L: int, K: int, combiner: CombinationMatrix, lam: float,
-                 delta: float, batch_shape: tuple[int, ...] = (),
-                 guard: float | None = 1e12) -> DrlsNetworkState:
+                 delta: float, batch_shape: tuple[int, ...] = ()) -> DrlsNetworkState:
     nodes = init_state(L, delta, batch_shape=batch_shape + (K,))
-    return DrlsNetworkState(nodes=nodes, combiner=combiner, lam=lam,
-                            delta=delta, guard=guard)
+    return DrlsNetworkState(nodes=nodes, combiner=combiner, lam=lam, delta=delta)
 
 
-def combine(network: DrlsNetworkState) -> np.ndarray:
-    """ATC combination: w_k = sum_l a_{lk} psi_l.  Requires fresh psi."""
-    if not network.nodes.psi_fresh:
-        raise RuntimeError("combine called without a fresh adapt step")
-    network.nodes.w = np.einsum("lk,...li->...ki", network.combiner.A,
-                                network.nodes.psi)
-    network.nodes.psi_fresh = False
+def combine(network: DrlsNetworkState, psi: np.ndarray) -> np.ndarray:
+    """ATC combination: w_k = sum_l a_{lk} psi_l."""
+    network.nodes.w = np.einsum("lk,...li->...ki", network.combiner.A, psi)
     return network.nodes.w
 
 
-def drls_iteration(network: DrlsNetworkState, x: np.ndarray,
-                   d: np.ndarray) -> np.ndarray:
+def drls_iteration(network: DrlsNetworkState, x: np.ndarray, d: np.ndarray,
+                   gain: np.ndarray) -> np.ndarray:
     """One ATC round: adapt every node on its own (x, d), then combine.
 
-    x has shape (..., K, L) and d shape (..., K); returns the per-node
-    pre-adaptation errors.
+    x has shape (..., K, L), d shape (..., K) and gain the shape of x;
+    returns the per-node pre-adaptation errors.
     """
     K = network.combiner.A.shape[0]
     if x.shape[-2] != K or d.shape[-1] != K:
         raise ValueError(f"expected one sample per node (K={K})")
-    e = adapt(network.nodes, x, d, network.lam, guard=network.guard)
-    combine(network)
+    e, psi = adapt(network.nodes, x, d, gain)
+    combine(network, psi)
     return e

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import detrend
 
-from .filters import init_network, init_state, drls_iteration, rls_iteration
+from .filters import (DrlsNetworkState, NodeFilterState, drls_iteration,
+                      init_state, rls_iteration, update_inverse_correlation)
 from .network import CombinationMatrix
 from .signals import (ColoredProcessParams, CyclostationaryProfile,
                       generate_node_signals, make_ground_truth)
@@ -116,7 +117,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     snapshots: dict[str, dict] = {}  # first run's per-node weights
 
     chunk = run_chunk or _default_chunk(K, N, L)
-    for start in range(0, R, chunk):
+    for start in range(0, R if algos else 0, chunk):
         run_ids = range(start, min(start + chunk, R))
         B = len(run_ids)
         X = np.empty((B, K, N, L))
@@ -129,15 +130,17 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                     profiles[k], params, truth, sigma_z[k], N,
                     np.random.default_rng(ss_u), np.random.default_rng(ss_z))
 
+        # P_{k,n} depends only on node k's regressors, lam and delta, so
+        # the selected algorithms share one recursion and its gain
+        P = init_state(L, delta, batch_shape=(B, K)).P
         states = {}
         if "drls" in algos:
-            states["drls"] = init_network(L, K, combiner, lam, delta,
-                                          batch_shape=(B,), guard=None)
+            states["drls"] = DrlsNetworkState(NodeFilterState(np.zeros((B, K, L)), P),
+                                              combiner, lam, delta)
         if "rls" in algos:
-            states["rls"] = init_state(L, delta, batch_shape=(B, K))
-
-        bad = {a: np.zeros(B, dtype=bool) for a in algos}
-        bad_at = {a: np.full(B, -1, dtype=int) for a in algos}
+            states["rls"] = NodeFilterState(np.zeros((B, K, L)), P)
+        bad = np.zeros(B, dtype=bool)
+        bad_at = np.full(B, -1, dtype=int)
         dev_sq = {a: np.empty((B, N)) for a in algos}
         err_traj = ({a: np.empty((B, N, K, L)) for a in algos}
                     if collect_mean_error else None)
@@ -145,22 +148,21 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         for n in range(N):
             x_n = X[:, :, n, :]
             d_n = d[:, :, n]
+            gain = update_inverse_correlation(P, x_n, lam)
+            # NaN and +-inf trip too: no comparison with NaN is true
+            trip = ~(np.maximum(P.max(axis=(-3, -2, -1)),
+                                -P.min(axis=(-3, -2, -1))) <= guard)
+            new_bad = trip & ~bad
+            if new_bad.any():
+                bad_at[new_bad] = n + 1
+                bad |= new_bad
             for a in algos:
                 if a == "drls":
-                    drls_iteration(states[a], x_n, d_n)
-                    P = states[a].nodes.P
+                    drls_iteration(states[a], x_n, d_n, gain)
                     w = states[a].nodes.w
                 else:
-                    rls_iteration(states[a], x_n, d_n, lam, guard=None)
-                    P = states[a].P
+                    rls_iteration(states[a], x_n, d_n, gain)
                     w = states[a].w
-                with np.errstate(invalid="ignore"):
-                    trip = np.abs(P).max(axis=(-3, -2, -1)) > guard
-                    trip |= ~np.isfinite(P).all(axis=(-3, -2, -1))
-                new_bad = trip & ~bad[a]
-                if new_bad.any():
-                    bad_at[a][new_bad] = n + 1
-                    bad[a] |= new_bad
                 dev = w - truth.w_star
                 dev_sq[a][:, n] = np.einsum("bki,bki->b", dev, dev)
                 if collect_mean_error:
@@ -173,8 +175,8 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         # fixed-order (run-order) reduction, independent of chunk size
         for a in algos:
             for b, r in enumerate(run_ids):
-                if bad[a][b]:
-                    excluded[a].append((r, int(bad_at[a][b])))
+                if bad[b]:
+                    excluded[a].append((r, int(bad_at[b])))
                     continue
                 dev_sq_sum[a] += dev_sq[a][b]
                 if collect_mean_error:

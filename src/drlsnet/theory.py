@@ -7,10 +7,11 @@ Three coupled recursions are iterated per time step n:
   second moment          K_n = cA (lam^2 B K_{n-1} B^T
                                    + E{Phi_n}^-1 Sigma_z R_x(n) E{Phi_n}^-1) cA^T
 
-with B = E{Phi_n}^-1 E{Phi_{n-1}} and cA = A^T (x) I_L.  Everything is
-kept in block form: E{Phi} as (K, L, L) diagonal blocks, the mean error
-as (K, L), and K_n as a (K, K, L, L) block grid, so the expanded KL x KL
-matrices are never formed.  The network MSD is tr(K_n)/K.
+with B = E{Phi_n}^-1 E{Phi_{n-1}}, solved once per step for the last two,
+and cA = A^T (x) I_L.  Everything is kept in block form: E{Phi} as
+(K, L, L) diagonal blocks, the mean error as (K, L), and K_n as a
+(K, K, L, L) block grid, so the expanded KL x KL matrices are never
+formed.  The network MSD is tr(K_n)/K.
 
 The K_n contractions run on BLAS: B K_{n-1} B^T is one batched matmul
 over the (K, K) grid of blocks, and applying cA on both sides is two
@@ -64,7 +65,7 @@ def expected_phi_step(EPhi_prev: np.ndarray, R_x_n: np.ndarray,
     return lam * EPhi_prev + R_x_n
 
 
-def _transition_blocks(EPhi_n: np.ndarray, EPhi_prev: np.ndarray) -> np.ndarray:
+def transition_blocks(EPhi_n: np.ndarray, EPhi_prev: np.ndarray) -> np.ndarray:
     """B_k = E{Phi_{k,n}}^-1 E{Phi_{k,n-1}} via per-block solves."""
     try:
         return np.linalg.solve(EPhi_n, EPhi_prev)
@@ -72,25 +73,23 @@ def _transition_blocks(EPhi_n: np.ndarray, EPhi_prev: np.ndarray) -> np.ndarray:
         raise TheoryError(f"E{{Phi}} block not invertible: {exc}") from exc
 
 
-def mean_error_step(mean_err_prev: np.ndarray, EPhi_n: np.ndarray,
-                    EPhi_prev: np.ndarray, A: np.ndarray,
+def mean_error_step(mean_err_prev: np.ndarray, B: np.ndarray, A: np.ndarray,
                     lam: float) -> np.ndarray:
     """E{werr_n} = lam * cA * blockdiag(B_k) * E{werr_{n-1}} in block form."""
-    B = _transition_blocks(EPhi_n, EPhi_prev)
     v = np.einsum("kij,kj->ki", B, mean_err_prev)
     return lam * np.einsum("lk,li->ki", A, v)
 
 
-def k_matrix_step(Kmat_prev: np.ndarray, EPhi_n: np.ndarray,
-                  EPhi_prev: np.ndarray, A: np.ndarray, lam: float,
-                  noise_variances: np.ndarray, R_x_n: np.ndarray) -> np.ndarray:
+def k_matrix_step(Kmat_prev: np.ndarray, B: np.ndarray, EPhi_n: np.ndarray,
+                  A: np.ndarray, lam: float, noise_variances: np.ndarray,
+                  R_x_n: np.ndarray) -> np.ndarray:
     """Second-moment recursion in block form; output symmetrized.
 
-    Kmat_prev is the (K, K, L, L) block grid of K_{n-1}; the noise term
+    Kmat_prev is the (K, K, L, L) block grid of K_{n-1} and B the
+    transition blocks of the step; the noise term
     sigma_{z,k}^2 * Phi_k^-1 R_{x,k}(n) Phi_k^-1 lands on the diagonal
     blocks only (spatially independent noise).
     """
-    B = _transition_blocks(EPhi_n, EPhi_prev)
     # `work` and `inner` are the step's two (K, K, L, L) buffers, reused in
     # place: at K=20, L=32 each is 3.3 MB, and a fresh one per product costs
     # about a third of the step in page faults
@@ -165,8 +164,9 @@ def theoretical_trajectory(profile,
         s = sigma[:, (n - lags) % period]
         R_x_n = R_u * (s[:, :, None] * s[:, None, :])
         EPhi_n = expected_phi_step(state.EPhi, R_x_n, lam)
-        state.mean_err = mean_error_step(state.mean_err, EPhi_n, state.EPhi, A, lam)
-        state.Kmat = k_matrix_step(state.Kmat, EPhi_n, state.EPhi, A, lam,
+        B = transition_blocks(EPhi_n, state.EPhi)
+        state.mean_err = mean_error_step(state.mean_err, B, A, lam)
+        state.Kmat = k_matrix_step(state.Kmat, B, EPhi_n, A, lam,
                                    noise_variances, R_x_n)
         state.EPhi = EPhi_n
         state.n = n

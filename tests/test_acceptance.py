@@ -20,7 +20,7 @@ from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
                              colored_autocorrelation, generate_node_signals,
                              input_covariance, make_ground_truth, sigma_at)
 from drlsnet.theory import (expected_phi_step, initial_theory_state,
-                            k_matrix_step, mean_error_step)
+                            k_matrix_step, mean_error_step, transition_blocks)
 
 K, L, LAM, DELTA, RHO = 10, 8, 0.995, 0.01, 0.8
 MASTER_SEED = 42
@@ -151,7 +151,7 @@ class TestCriterion5OracleEquivalences:
         worst = 0.0
         for _ in range(10_000):
             x = rng.standard_normal(Lw)
-            P = update_inverse_correlation(P, x, LAM)
+            update_inverse_correlation(P, x, LAM)
             Phi = LAM * Phi + np.outer(x, x)
             direct = np.linalg.inv(Phi)
             worst = max(worst, np.linalg.norm(P - direct)
@@ -175,9 +175,11 @@ class TestCriterion5OracleEquivalences:
         net = init_network(Ld, Kd, cm, LAM, DELTA)
         solo = [init_state(Ld, DELTA) for _ in range(Kd)]
         for n in range(N):
-            drls_iteration(net, X[:, n, :], d[:, n])
+            drls_iteration(net, X[:, n, :], d[:, n],
+                           update_inverse_correlation(net.nodes.P, X[:, n, :], LAM))
             for k in range(Kd):
-                rls_iteration(solo[k], X[k, n], d[k, n], LAM)
+                rls_iteration(solo[k], X[k, n], d[k, n],
+                              update_inverse_correlation(solo[k].P, X[k, n], LAM))
         worst = max(np.abs(net.nodes.w[k] - solo[k].w).max() for k in range(Kd))
         report(5, "identity-combiner degeneracy", worst < 1e-12,
                f"max |w_drls - w_rls| = {worst:.2e} over 1000 iters (tol 1e-12)")
@@ -201,10 +203,9 @@ class TestCriterion5OracleEquivalences:
             # drive the block implementation one step
             R = np.array([[[r]]])
             EPhi_new = expected_phi_step(state.EPhi, R, LAM)
-            state.mean_err = mean_error_step(state.mean_err, EPhi_new,
-                                             state.EPhi, np.eye(1), LAM)
-            state.Kmat = k_matrix_step(state.Kmat, EPhi_new, state.EPhi,
-                                       np.eye(1), LAM,
+            B = transition_blocks(EPhi_new, state.EPhi)
+            state.mean_err = mean_error_step(state.mean_err, B, np.eye(1), LAM)
+            state.Kmat = k_matrix_step(state.Kmat, B, EPhi_new, np.eye(1), LAM,
                                        np.array([sigma_z2]), R)
             state.EPhi = EPhi_new
             worst = max(worst,

@@ -180,6 +180,29 @@ class TestMain:
         assert main(["check", str(path)]) == EXIT_VALIDATION
         assert "signal.rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, values, message", [
+        ("network", {"topology": "random_geometric", "radius": "0.05"}, "disconnected"),
+        ("signal", {"phases": "0, 2"}, "signal.phases: need one phase per node"),
+        ("network", {"combination_rows": "0.5, 0.5; 0.5, 0.5"},
+         "network.combination_rows: wrong shape"),
+        ("network", {"combination_rows": "0.5, 0.5, 0, 0.5; 0.5, 0.5, 0.5, 0; "
+                                         "0, 0.5, 0.5, 0.5; 0.5, 0, 0.5, 0.5"},
+         "columns must sum to 1"),
+        ("network", {"combination_rows": "; ".join(["0.25, 0.25, 0.25, 0.25"] * 4)},
+         "outside the neighborhood"),
+    ])
+    def test_check_rejects_what_run_rejects(self, tmp_path, capsys, section,
+                                            values, message):
+        raw = {s: dict(kv) for s, kv in SMALL.items()}
+        raw[section].update(values)
+        path = tmp_path / "c.ini"
+        write_ini(path, raw)
+        assert main(["check", str(path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self):
         assert main(["check", "/nonexistent/nope.ini"]) == EXIT_VALIDATION
 

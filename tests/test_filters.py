@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drlsnet.filters import (DrlsNetworkState, NumericalBlowupError,
-                             adapt, combine, drls_iteration, init_network,
-                             init_state, rls_iteration,
+from drlsnet.filters import (DrlsNetworkState, adapt, combine, drls_iteration,
+                             init_network, init_state, rls_iteration,
                              update_inverse_correlation)
 from drlsnet.network import CombinationMatrix, build_combination_matrix, build_topology
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
@@ -17,6 +16,16 @@ def identity_combiner(K):
     return CombinationMatrix(np.eye(K), adjacency=np.eye(K, dtype=bool))
 
 
+def rls_step(state, x, d, lam):
+    """Standalone RLS: advance the state's own P, then its estimate."""
+    return rls_iteration(state, x, d, update_inverse_correlation(state.P, x, lam))
+
+
+def drls_step(net, x, d):
+    """Standalone DRLS: advance the network's own P, then adapt and combine."""
+    return drls_iteration(net, x, d, update_inverse_correlation(net.nodes.P, x, net.lam))
+
+
 class TestInitState:
     def test_p_is_inverse_delta(self):
         state = init_state(2, delta=0.01)
@@ -27,7 +36,7 @@ class TestInitState:
     def test_first_error_equals_d(self):
         state = init_state(3, delta=0.1)
         x, d = np.ones(3), 4.2
-        e = adapt(state, x, d, LAM)
+        e, _ = adapt(state, x, d, update_inverse_correlation(state.P, x, LAM))
         assert e == pytest.approx(4.2)
 
     def test_nonpositive_delta_rejected(self):
@@ -38,12 +47,15 @@ class TestInitState:
 class TestInverseCorrelationUpdate:
     def test_zero_regressor(self):
         P = np.array([[2.0, 0.5], [0.5, 1.0]])
-        Pn = update_inverse_correlation(P, np.zeros(2), 0.9)
+        Pn = P.copy()
+        gain = update_inverse_correlation(Pn, np.zeros(2), 0.9)
         assert np.allclose(Pn, P / 0.9)
+        assert np.array_equal(gain, np.zeros(2))
 
     def test_scalar_oracle(self):
         # Phi' = lam*Phi + x^2 inverted directly
-        Pn = update_inverse_correlation(np.array([[100.0]]), np.array([1.0]), 0.995)
+        Pn = np.array([[100.0]])
+        update_inverse_correlation(Pn, np.array([1.0]), 0.995)
         assert Pn[0, 0] == pytest.approx(1.0 / (0.995 * 0.01 + 1.0))
 
     def test_matches_direct_inverse(self):
@@ -54,15 +66,10 @@ class TestInverseCorrelationUpdate:
         Phi = np.linalg.inv(P)
         for _ in range(50):
             x = rng.standard_normal(L)
-            P = update_inverse_correlation(P, x, LAM)
+            update_inverse_correlation(P, x, LAM)
             Phi = LAM * Phi + np.outer(x, x)
             direct = np.linalg.inv(Phi)
             assert np.linalg.norm(P - direct) / np.linalg.norm(direct) < 1e-8
-
-    def test_guard_trips(self):
-        with pytest.raises(NumericalBlowupError):
-            update_inverse_correlation(np.array([[50.0]]), np.zeros(1), 0.9,
-                                       guard=55.0)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), lam=st.floats(0.9, 0.999))
@@ -74,7 +81,7 @@ class TestInverseCorrelationUpdate:
         Phi = delta * np.eye(L)
         for _ in range(30):
             x = rng.standard_normal(L)
-            P = update_inverse_correlation(P, x, lam)
+            update_inverse_correlation(P, x, lam)
             Phi = lam * Phi + np.outer(x, x)
             assert np.linalg.norm(P @ Phi - np.eye(L)) < 1e-8
 
@@ -85,8 +92,8 @@ class TestAdapt:
         state.w = np.array([1.0, -1.0])
         x = np.array([1.0, 1.0])
         d = float(x @ state.w)  # e = 0
-        adapt(state, x, d, LAM)
-        assert np.allclose(state.psi, state.w)
+        _, psi = adapt(state, x, d, update_inverse_correlation(state.P, x, LAM))
+        assert np.allclose(psi, state.w)
 
     def test_scalar_noiseless_convergence(self):
         # the delta-induced bias decays like lam**n; lam=0.95 puts it far
@@ -95,7 +102,7 @@ class TestAdapt:
         rng = np.random.default_rng(1)
         for _ in range(500):
             x = rng.standard_normal(1)
-            rls_iteration(state, x, float(x[0] * 0.7), 0.95)
+            rls_step(state, x, float(x[0] * 0.7), 0.95)
         assert state.w[0] == pytest.approx(0.7, abs=1e-6)
 
     def test_single_step_small_delta_is_ls(self):
@@ -103,16 +110,14 @@ class TestAdapt:
         # catastrophic cancellation in the rank-one update
         state = init_state(1, delta=1e-8)
         x, d = np.array([2.0]), 3.0
-        adapt(state, x, d, LAM)
-        assert state.psi[0] == pytest.approx(d / x[0], rel=1e-6)
+        _, psi = adapt(state, x, d, update_inverse_correlation(state.P, x, LAM))
+        assert psi[0] == pytest.approx(d / x[0], rel=1e-6)
 
 
 class TestCombine:
     def test_identity_keeps_psi(self):
         net = init_network(2, K=3, combiner=identity_combiner(3), lam=LAM, delta=0.01)
-        net.nodes.psi = np.arange(6.0).reshape(3, 2)
-        net.nodes.psi_fresh = True
-        w = combine(net)
+        w = combine(net, np.arange(6.0).reshape(3, 2))
         assert np.array_equal(w, np.arange(6.0).reshape(3, 2))
 
     def test_consensus_fixed_point(self):
@@ -120,21 +125,14 @@ class TestCombine:
         net = init_network(3, K=5, combiner=build_combination_matrix(topo),
                            lam=LAM, delta=0.01)
         v = np.array([1.0, -2.0, 0.5])
-        net.nodes.psi = np.tile(v, (5, 1))
-        net.nodes.psi_fresh = True
-        assert np.allclose(combine(net), np.tile(v, (5, 1)), atol=1e-15)
+        assert np.allclose(combine(net, np.tile(v, (5, 1))), np.tile(v, (5, 1)),
+                           atol=1e-15)
 
     def test_two_node_average(self):
         cm = CombinationMatrix(np.full((2, 2), 0.5), adjacency=np.ones((2, 2), bool))
         net = init_network(2, K=2, combiner=cm, lam=LAM, delta=0.01)
-        net.nodes.psi = np.eye(2)  # psi_1 = e1, psi_2 = e2
-        net.nodes.psi_fresh = True
-        assert np.allclose(combine(net), np.full((2, 2), 0.5))
-
-    def test_combine_before_adapt_rejected(self):
-        net = init_network(2, K=2, combiner=identity_combiner(2), lam=LAM, delta=0.01)
-        with pytest.raises(RuntimeError, match="fresh"):
-            combine(net)
+        # psi_1 = e1, psi_2 = e2
+        assert np.allclose(combine(net, np.eye(2)), np.full((2, 2), 0.5))
 
 
 def make_node_data(K, L, N, sigma_z, seed, period=1, kind="constant"):
@@ -160,9 +158,9 @@ class TestIterations:
         net = init_network(L, K, identity_combiner(K), LAM, 0.01)
         rls_states = [init_state(L, 0.01) for _ in range(K)]
         for n in range(N):
-            drls_iteration(net, X[:, n, :], d[:, n])
+            drls_step(net, X[:, n, :], d[:, n])
             for k in range(K):
-                rls_iteration(rls_states[k], X[k, n], d[k, n], LAM)
+                rls_step(rls_states[k], X[k, n], d[k, n], LAM)
         for k in range(K):
             assert np.abs(net.nodes.w[k] - rls_states[k].w).max() < 1e-12
 
@@ -172,13 +170,13 @@ class TestIterations:
         topo = build_topology("ring", K)
         net = init_network(L, K, build_combination_matrix(topo), 0.95, 0.01)
         for n in range(N):
-            drls_iteration(net, X[:, n, :], d[:, n])
+            drls_step(net, X[:, n, :], d[:, n])
         assert np.linalg.norm(net.nodes.w - truth.w_star, axis=1).max() < 1e-6
 
     def test_sample_count_must_match(self):
         net = init_network(2, K=3, combiner=identity_combiner(3), lam=LAM, delta=0.01)
         with pytest.raises(ValueError):
-            drls_iteration(net, np.zeros((2, 2)), np.zeros(2))
+            drls_iteration(net, np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)))
 
     def test_lambda_one_matches_normal_equations(self):
         # growing window: Phi = delta*I + sum x x^T, w = Phi^-1 sum x d
@@ -191,7 +189,7 @@ class TestIterations:
         for _ in range(N):
             x = rng.standard_normal(L)
             d = float(x @ w_true) + 0.1 * rng.standard_normal()
-            rls_iteration(state, x, d, 1.0, guard=None)
+            rls_step(state, x, d, 1.0)
             Phi += np.outer(x, x)
             b += x * d
         w_ls = np.linalg.solve(Phi, b)
@@ -205,8 +203,8 @@ class TestIterations:
         solo = init_state(L, 0.01, batch_shape=(K,))
         msd_net = msd_solo = 0.0
         for n in range(N):
-            drls_iteration(net, X[:, n, :], d[:, n])
-            rls_iteration(solo, X[:, n, :], d[:, n], LAM)
+            drls_step(net, X[:, n, :], d[:, n])
+            rls_step(solo, X[:, n, :], d[:, n], LAM)
             if n >= N - 500:
                 msd_net += np.sum((net.nodes.w - truth.w_star) ** 2)
                 msd_solo += np.sum((solo.w - truth.w_star) ** 2)
@@ -224,9 +222,9 @@ class TestIterations:
                                      np.random.default_rng(11))
         state = init_state(L, 0.01)
         for n in range(N):
-            rls_iteration(state, X[n], d[n], LAM)
+            rls_step(state, X[n], d[n], LAM)
             if n % 5000 == 0:
-                assert np.abs(state.P - state.P.T).max() < 1e-9 * np.abs(state.P).max()
+                assert np.array_equal(state.P, state.P.T)
                 assert np.linalg.eigvalsh(state.P).min() > 0
         assert np.isfinite(state.P).all()
 

@@ -1,14 +1,21 @@
+from pathlib import Path
+import types
+
 import numpy as np
 import pytest
 
+import drlsnet.cli
+import drlsnet.harness
 from drlsnet.harness import (EnsembleSpec, ExcludedRunThresholdError,
                              compare_theory_empirical, detect_periodicity,
                              run_ensemble, to_db)
 from drlsnet.network import (CombinationMatrix, build_combination_matrix,
                              build_topology, draw_noise_variances)
-from drlsnet.signals import ColoredProcessParams, CyclostationaryProfile
+from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
+                             generate_node_signals, make_ground_truth)
 
 CONST = CyclostationaryProfile(kind="constant", level=1.0)
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def desk_network(K=10):
@@ -19,6 +26,61 @@ def desk_network(K=10):
 
 def identity_combiner(K):
     return CombinationMatrix(np.eye(K), adjacency=np.eye(K, dtype=bool))
+
+
+def symmetrized_update(P, x, lam):
+    """Oracle: the inverse-correlation update as one algorithm's own step,
+    with fresh arrays and an explicit 0.5 (P + P^T) pass."""
+    Px = np.einsum("...ij,...j->...i", P, x)
+    denom = lam + np.einsum("...i,...i->...", x, Px)
+    Pnew = (P - np.einsum("...i,...j->...ij", Px, Px) / denom[..., None, None]) / lam
+    return 0.5 * (Pnew + np.swapaxes(Pnew, -1, -2))
+
+
+def independent_states_msd(comb, nv, profile, params, lam, delta, spec):
+    """MSD curves from a loop that gives every algorithm its own P.
+
+    Draws the signals through run_ensemble's seed layout and reduces in
+    run order, so the curves must equal run_ensemble's bit for bit.
+    """
+    A = comb.A
+    K, L, N, R = A.shape[0], params.length, spec.iterations, spec.runs
+    children = np.random.SeedSequence(spec.master_seed).spawn(1 + R)
+    truth = make_ground_truth(L, children[0])
+    sigma_z = np.sqrt(nv)
+    X = np.empty((R, K, N, L))
+    d = np.empty((R, K, N))
+    for r in range(R):
+        for k, node in enumerate(children[1 + r].spawn(K)):
+            ss_u, ss_z = node.spawn(2)
+            X[r, k], d[r, k] = generate_node_signals(
+                profile, params, truth, sigma_z[k], N,
+                np.random.default_rng(ss_u), np.random.default_rng(ss_z))
+    msd = {}
+    for algo in spec.algorithms:
+        P = np.broadcast_to(np.eye(L) / delta, (R, K, L, L)).copy()
+        w = np.zeros((R, K, L))
+        dev_sq = np.empty((R, N))
+        for n in range(N):
+            x, dn = X[:, :, n], d[:, :, n]
+            e = dn - np.einsum("...i,...i->...", x, w)
+            P = symmetrized_update(P, x, lam)
+            psi = w + np.einsum("...ij,...j->...i", P, x) * e[..., None]
+            w = np.einsum("lk,...li->...ki", A, psi) if algo == "drls" else psi
+            dev = w - truth.w_star
+            dev_sq[:, n] = np.einsum("bki,bki->b", dev, dev)
+        total = np.zeros(N)
+        for r in range(R):
+            total += dev_sq[r]
+        msd[algo] = total / (R * K)
+    return msd
+
+
+def load_spans():
+    """perfbench/spans.py as a module, executed from its source (nothing written)."""
+    module = types.ModuleType("perfbench_spans")
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+    return module
 
 
 class TestRunEnsemble:
@@ -57,8 +119,8 @@ class TestRunEnsemble:
         b = run_ensemble(comb, nv, run_chunk=7, **kwargs)
         c = run_ensemble(comb, nv, run_chunk=3, **kwargs)
         for algo in ("rls", "drls"):
-            assert np.abs(a.msd_empirical[algo] - b.msd_empirical[algo]).max() < 1e-12
-            assert np.abs(a.msd_empirical[algo] - c.msd_empirical[algo]).max() < 1e-12
+            assert np.array_equal(a.msd_empirical[algo], b.msd_empirical[algo])
+            assert np.array_equal(a.msd_empirical[algo], c.msd_empirical[algo])
 
     def test_initial_msd_anchor(self):
         # w_0 = 0 and ||w_star||^2 = 1: MSD at n=0 is 0 dB by construction
@@ -78,6 +140,62 @@ class TestRunEnsemble:
             run_ensemble(comb, nv, CONST,
                          ColoredProcessParams(rho=0.0, length=2),
                          0.995, 0.01, spec, guard=1e-6, include_theory=False)
+
+    def test_mid_run_guard_trips_pinned(self):
+        # faint input lets P grow for a few hundred steps; 5 of 8 runs pass
+        # the guard between iterations 389 and 400, each algorithm loses
+        # the same runs, and the survivors' curves stay finite
+        comb, nv = desk_network(3)
+        spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
+        traj = run_ensemble(comb, nv, CyclostationaryProfile(kind="constant", level=0.003),
+                            ColoredProcessParams(rho=0.8, length=2), 0.995, 0.01,
+                            spec, guard=440.0, include_theory=False,
+                            max_excluded_fraction=1.0, run_chunk=3)
+        pinned = [(1, 394), (2, 389), (3, 389), (4, 400), (7, 397)]
+        assert traj.excluded_runs == {"rls": pinned, "drls": pinned}
+        assert traj.runs_effective == {"rls": 3, "drls": 3}
+        for algo in ("rls", "drls"):
+            assert np.isfinite(traj.msd_empirical[algo]).all()
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_trips_guard(self, monkeypatch, bad_value):
+        # a non-finite regressor at run 1, node 0, iteration 5 makes that
+        # run's P non-finite; the trip check must catch NaN as well as inf
+        generate = drlsnet.harness.generate_node_signals
+        calls = []
+
+        def corrupted(*args):
+            X, d = generate(*args)
+            if len(calls) == 3:
+                X[4] = bad_value
+            calls.append(None)
+            return X, d
+
+        monkeypatch.setattr(drlsnet.harness, "generate_node_signals", corrupted)
+        comb, nv = desk_network(3)
+        spec = EnsembleSpec(runs=3, iterations=20, master_seed=5)
+        with np.errstate(invalid="ignore"):
+            traj = run_ensemble(comb, nv, CONST, ColoredProcessParams(rho=0.5, length=2),
+                                0.995, 0.01, spec, include_theory=False,
+                                max_excluded_fraction=1.0)
+        assert traj.excluded_runs == {"rls": [(1, 5)], "drls": [(1, 5)]}
+        for algo in ("rls", "drls"):
+            assert np.isfinite(traj.msd_empirical[algo]).all()
+
+    @pytest.mark.parametrize("algorithms", [("rls", "drls"), ("rls",), ("drls",)])
+    def test_shared_recursion_matches_independent_states(self, algorithms):
+        comb, nv = desk_network(4)
+        profile = CyclostationaryProfile(kind="pulsed", period=8, duty_cycle=0.5,
+                                         v_low=2e-3, v_high=2.0)
+        params = ColoredProcessParams(rho=0.8, length=3)
+        spec = EnsembleSpec(runs=5, iterations=150, master_seed=17,
+                            algorithms=algorithms)
+        traj = run_ensemble(comb, nv, profile, params, 0.995, 0.01, spec,
+                            include_theory=False, run_chunk=2)
+        want = independent_states_msd(comb, nv, profile, params, 0.995, 0.01, spec)
+        assert traj.msd_empirical.keys() == want.keys()
+        for algo in algorithms:
+            assert np.array_equal(traj.msd_empirical[algo], want[algo])
 
     def test_theory_only(self):
         comb, nv = desk_network(3)
@@ -152,3 +270,25 @@ class TestDetectPeriodicity:
         n = np.arange(4096)
         curve = np.where((n % 64) < 32, 1.0, -1.0)
         assert detect_periodicity(curve, 64) > 0.95
+
+
+def test_benchmark_tracer_records_both_filter_spans():
+    # perfbench/spans.py wraps harness.drls_iteration and harness.rls_iteration
+    # by name and reads the state's P and x from their arguments
+    spans = load_spans()
+    comb, nv = desk_network(3)
+    spec = EnsembleSpec(runs=2, iterations=5, master_seed=5)
+    with spans.Tracer().patch(drlsnet) as tracer:
+        drlsnet.harness.run_ensemble(comb, nv, CONST,
+                                     ColoredProcessParams(rho=0.5, length=2),
+                                     0.995, 0.01, spec, include_theory=False)
+    assert drlsnet.harness.drls_iteration.__module__ == "drlsnet.filters"
+    want = {"filters": 6, "p_bytes": 2 * 3 * 2 * 2 * 8, "runs": 2}
+    for name in ("filters.drls_iteration", "filters.rls_iteration"):
+        assert [span[4] for span in tracer.spans if span[0] == name] == [want] * 5
+    metrics = spans.layer_metrics(tracer.spans, 1, [[]])
+    assert metrics["filters.calls"] == 10
+    assert metrics["filters.batch_width"] == 6
+    assert metrics["harness.chunk_runs"] == 2
+    assert metrics["harness.runs_attempted"] == 2
+    assert metrics["filters.total_s"] > 0

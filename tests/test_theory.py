@@ -13,7 +13,7 @@ from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
 from drlsnet.theory import (TheoryTrajectory, expand_blocks,
                             expected_phi_step, initial_theory_state,
                             k_matrix_step, mean_error_step, network_msd,
-                            theoretical_trajectory)
+                            theoretical_trajectory, transition_blocks)
 
 LAM = 0.995
 PULSED4 = CyclostationaryProfile(kind="pulsed", period=4, duty_cycle=0.5,
@@ -22,10 +22,8 @@ CONST = CyclostationaryProfile(kind="constant", level=1.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def einsum_k_matrix_step(Kmat_prev, EPhi_n, EPhi_prev, A, lam,
-                         noise_variances, R_x_n):
+def einsum_k_matrix_step(Kmat_prev, B, EPhi_n, A, lam, noise_variances, R_x_n):
     """Reference second-moment step: the contractions written as einsum."""
-    B = np.linalg.solve(EPhi_n, EPhi_prev)
     inner = lam ** 2 * np.einsum("pab,pqbc,qdc->pqad", B, Kmat_prev, B)
     noise = np.linalg.solve(EPhi_n, R_x_n)
     noise = np.linalg.solve(EPhi_n, np.swapaxes(noise, -1, -2))
@@ -93,7 +91,7 @@ class TestMeanError:
         K, L = 2, 3
         EPhi = np.stack([np.eye(L)] * K)
         A = np.full((K, K), 0.5)
-        out = mean_error_step(np.zeros((K, L)), EPhi, EPhi, A, LAM)
+        out = mean_error_step(np.zeros((K, L)), transition_blocks(EPhi, EPhi), A, LAM)
         assert np.array_equal(out, np.zeros((K, L)))
 
     def test_scalar_hand_iteration(self):
@@ -109,7 +107,7 @@ class TestMeanError:
             m_hand = LAM * (phi_prev / phi) * m_hand
             R = np.array([[[r]]])
             EPhi_n = expected_phi_step(EPhi, R, LAM)
-            mean = mean_error_step(mean, EPhi_n, EPhi, A, LAM)
+            mean = mean_error_step(mean, transition_blocks(EPhi_n, EPhi), A, LAM)
             assert abs(mean[0, 0] - m_hand) < 1e-12
             EPhi = EPhi_n
             phi_prev = phi
@@ -169,8 +167,8 @@ class TestKMatrix:
             k_hand = LAM ** 2 * (phi_prev / phi) ** 2 * k_hand + sz2 * r / phi ** 2
             R = np.array([[[r]]])
             EPhi_n = expected_phi_step(EPhi, R, LAM)
-            Kmat = k_matrix_step(Kmat, EPhi_n, EPhi, A, LAM,
-                                 np.array([sz2]), R)
+            Kmat = k_matrix_step(Kmat, transition_blocks(EPhi_n, EPhi), EPhi_n, A,
+                                 LAM, np.array([sz2]), R)
             assert abs(Kmat[0, 0, 0, 0] - k_hand) < 1e-12 * max(1.0, k_hand)
             EPhi, phi_prev = EPhi_n, phi
 
@@ -187,7 +185,8 @@ class TestKMatrix:
         R = np.stack([input_covariance(CONST, ColoredProcessParams(0.5, L), 0)] * K)
         EPhi_n = expected_phi_step(EPhi_prev, R, LAM)
         sz = np.array([0.1, 0.2, 0.3])
-        out = k_matrix_step(Kprev, EPhi_n, EPhi_prev, A, LAM, sz, R)
+        out = k_matrix_step(Kprev, transition_blocks(EPhi_n, EPhi_prev), EPhi_n,
+                            A, LAM, sz, R)
 
         calA = np.kron(A.T, np.eye(L))
         EPhi_n_d = np.zeros((K * L, K * L))
@@ -225,8 +224,9 @@ class TestKMatrix:
         if K > 1:
             assert not np.allclose(A, A.T)
         sz = rng.uniform(0.01, 0.1, K)
-        out = k_matrix_step(Kprev, EPhi_n, EPhi_prev, A, LAM, sz, R)
-        want = einsum_k_matrix_step(Kprev, EPhi_n, EPhi_prev, A, LAM, sz, R)
+        B = np.linalg.solve(EPhi_n, EPhi_prev)
+        out = k_matrix_step(Kprev, B, EPhi_n, A, LAM, sz, R)
+        want = einsum_k_matrix_step(Kprev, B, EPhi_n, A, LAM, sz, R)
         assert out.shape == (K, K, L, L)
         assert _rel_dev(out, want) <= 1e-12
 
@@ -245,7 +245,8 @@ class TestKMatrix:
         for n in range(1, 10_001):
             R = np.broadcast_to(input_covariance(profile, params, n), (K, L, L))
             EPhi_n = expected_phi_step(EPhi, R, LAM)
-            Kmat = k_matrix_step(Kmat, EPhi_n, EPhi, A, LAM, sz, R)
+            Kmat = k_matrix_step(Kmat, transition_blocks(EPhi_n, EPhi), EPhi_n, A,
+                                 LAM, sz, R)
             EPhi = EPhi_n
             if n % 500 == 0:
                 dense = expand_blocks(Kmat)
@@ -322,6 +323,27 @@ class TestTrajectory:
                                       make_ground_truth(2, 8).w_star,
                                       LAM, 0.01, 100)
         assert np.isfinite(traj.msd).all()
+
+    def test_one_transition_solve_per_step(self, monkeypatch):
+        # B_k is solved once per step and the same array reaches both steps;
+        # each step function is still called once per step
+        calls = {name: [] for name in ("transition_blocks", "expected_phi_step",
+                                       "mean_error_step", "k_matrix_step")}
+        for name, record in calls.items():
+            def spy(*args, _fn=getattr(theory, name), _record=record,
+                    _keep_out=name == "transition_blocks"):
+                out = _fn(*args)
+                _record.append(out if _keep_out else args)
+                return out
+            monkeypatch.setattr(theory, name, spy)
+        A = build_combination_matrix(build_topology("ring", 3)).A
+        theoretical_trajectory(PULSED4, ColoredProcessParams(rho=0.5, length=2), A,
+                               np.full(3, 0.05), make_ground_truth(2, 1).w_star,
+                               LAM, 0.01, 9)
+        assert [len(v) for v in calls.values()] == [9] * 4
+        for B, mean_args, k_args in zip(calls["transition_blocks"],
+                                        calls["mean_error_step"], calls["k_matrix_step"]):
+            assert mean_args[1] is B and k_args[1] is B
 
     @pytest.mark.parametrize("period, taps", [(8, 5), (3, 7)])
     def test_per_step_input_covariance_is_input_covariance(self, monkeypatch,
