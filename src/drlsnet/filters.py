@@ -11,6 +11,13 @@ which the iterations take as an argument.  Only estimates are exchanged in
 the combine step, so node k's P depends on its own regressors, lam and
 delta alone, and RLS and DRLS run on the same data can share one P and
 its gain.
+
+The update needs one matrix-vector product: with Px = P_{n-1} x_n and
+denom = lam + x_n^T Px, the gain is Px / denom, which equals P_n x_n in
+exact arithmetic, and P_n = P_{n-1} / lam - u u^T with
+u = Px / sqrt(lam * denom).  Every entry of u u^T is one rounded product
+u_i * u_j, so the subtracted term is exactly symmetric, and a symmetric P
+stays exactly symmetric without a symmetrization pass.
 """
 
 from __future__ import annotations
@@ -43,20 +50,21 @@ def init_state(L: int, delta: float, batch_shape: tuple[int, ...] = ()) -> NodeF
     return NodeFilterState(w=w, P=P)
 
 
-def update_inverse_correlation(P: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
+def update_inverse_correlation(P: np.ndarray, x: np.ndarray, lam: float,
+                               work: np.ndarray) -> np.ndarray:
     """Rank-one inverse update in place, so that P becomes the inverse of lam*Phi + x x^T.
 
-    P' = lam^-1 (P - P x x^T P / (lam + x^T P x)).  The rank-one term is
-    built from products Px_i * Px_j, which are exactly symmetric, so a
-    symmetric P stays exactly symmetric.  Returns the gain g = P' x.
+    P' = P / lam - u u^T with u = P x / sqrt(lam * (lam + x^T P x)), which
+    keeps a symmetric P exactly symmetric.  `work`, an array of P's shape,
+    receives u u^T.  Returns the gain g = P x / (lam + x^T P x) = P' x.
     """
-    Px = np.einsum("...ij,...j->...i", P, x)
-    denom = lam + np.einsum("...i,...i->...", x, Px)  # lam * (1 + x'Px/lam)
-    outer = Px[..., :, None] * Px[..., None, :]
-    outer /= denom[..., None, None]
-    P -= outer
-    P /= lam
-    return np.einsum("...ij,...j->...i", P, x)
+    Px = np.matmul(P, x[..., None])[..., 0]
+    denom = lam + np.einsum("...i,...i->...", x, Px)
+    u = Px / np.sqrt(lam * denom)[..., None]
+    np.einsum("...i,...j->...ij", u, u, out=work)
+    P *= 1.0 / lam
+    P -= work
+    return Px / denom[..., None]
 
 
 def adapt(state: NodeFilterState, x: np.ndarray, d: np.ndarray,
@@ -100,7 +108,7 @@ def init_network(L: int, K: int, combiner: CombinationMatrix, lam: float,
 
 def combine(network: DrlsNetworkState, psi: np.ndarray) -> np.ndarray:
     """ATC combination: w_k = sum_l a_{lk} psi_l."""
-    network.nodes.w = np.einsum("lk,...li->...ki", network.combiner.A, psi)
+    network.nodes.w = np.matmul(network.combiner.A.T, psi)
     return network.nodes.w
 
 

@@ -91,7 +91,8 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     and nodes; w_star is drawn once and shared by all runs.  Runs whose
     inverse correlation matrix trips the magnitude guard are excluded
     entirely and reported; the experiment fails if more than
-    `max_excluded_fraction` of runs are lost for any algorithm.
+    `max_excluded_fraction` of runs, or every run, are lost for any
+    algorithm.
     """
     t0 = time.perf_counter()
     A = combiner.A
@@ -116,23 +117,24 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     excluded: dict[str, list[tuple[int, int]]] = {a: [] for a in algos}
     snapshots: dict[str, dict] = {}  # first run's per-node weights
 
-    chunk = run_chunk or _default_chunk(K, N, L)
-    for start in range(0, R if algos else 0, chunk):
-        run_ids = range(start, min(start + chunk, R))
+    def simulate_chunk(run_ids: range) -> None:
+        # adds the runs' curves to the sums above; a function of its own,
+        # so the chunk's signals and work buffer are freed before the theory
         B = len(run_ids)
-        X = np.empty((B, K, N, L))
-        d = np.empty((B, K, N))
+        X = np.empty((N, B, K, L))  # time-major, so X[n] is contiguous
+        d = np.empty((N, B, K))
         for b, r in enumerate(run_ids):
             node_seqs = children[1 + r].spawn(K)
             for k in range(K):
                 ss_u, ss_z = node_seqs[k].spawn(2)
-                X[b, k], d[b, k] = generate_node_signals(
+                X[:, b, k], d[:, b, k] = generate_node_signals(
                     profiles[k], params, truth, sigma_z[k], N,
                     np.random.default_rng(ss_u), np.random.default_rng(ss_z))
 
         # P_{k,n} depends only on node k's regressors, lam and delta, so
         # the selected algorithms share one recursion and its gain
         P = init_state(L, delta, batch_shape=(B, K)).P
+        work = np.empty_like(P)
         states = {}
         if "drls" in algos:
             states["drls"] = DrlsNetworkState(NodeFilterState(np.zeros((B, K, L)), P),
@@ -146,9 +148,9 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                     if collect_mean_error else None)
 
         for n in range(N):
-            x_n = X[:, :, n, :]
-            d_n = d[:, :, n]
-            gain = update_inverse_correlation(P, x_n, lam)
+            x_n = X[n]
+            d_n = d[n]
+            gain = update_inverse_correlation(P, x_n, lam, work)
             # NaN and +-inf trip too: no comparison with NaN is true
             trip = ~(np.maximum(P.max(axis=(-3, -2, -1)),
                                 -P.min(axis=(-3, -2, -1))) <= guard)
@@ -167,7 +169,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                 dev_sq[a][:, n] = np.einsum("bki,bki->b", dev, dev)
                 if collect_mean_error:
                     err_traj[a][:, n] = dev
-                if snapshot_every and start == 0 and (n + 1) % snapshot_every == 0:
+                if snapshot_every and run_ids.start == 0 and (n + 1) % snapshot_every == 0:
                     snap = snapshots.setdefault(a, {"iteration": [], "weights": []})
                     snap["iteration"].append(n + 1)
                     snap["weights"].append(np.array(w[0]))
@@ -182,12 +184,16 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                 if collect_mean_error:
                     err_sum[a] += err_traj[a][b]
 
+    chunk = run_chunk or _default_chunk(K, N, L)
+    for start in range(0, R if algos else 0, chunk):
+        simulate_chunk(range(start, min(start + chunk, R)))
+
     runs_effective = {a: R - len(excluded[a]) for a in algos}
     for a in algos:
-        if len(excluded[a]) > max_excluded_fraction * R:
+        if len(excluded[a]) > max_excluded_fraction * R or runs_effective[a] == 0:
             raise ExcludedRunThresholdError(
-                f"{a}: {len(excluded[a])} of {R} runs excluded "
-                f"(> {max_excluded_fraction:.0%}); first: {excluded[a][:5]}")
+                f"{a}: {len(excluded[a])} of {R} runs excluded (allowed: at most "
+                f"{max_excluded_fraction:.0%}, and not all); first: {excluded[a][:5]}")
 
     msd_empirical = {a: dev_sq_sum[a] / (runs_effective[a] * K) for a in algos}
     mean_err_norm_emp = None

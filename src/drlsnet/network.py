@@ -50,12 +50,6 @@ class Topology:
         """Closed-neighborhood sizes |N_k| (self-loop included)."""
         return self.adjacency.sum(axis=1)
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        """Undirected edges (i < j), self-loops omitted."""
-        iu, ju = np.triu_indices(self.node_count, k=1)
-        mask = self.adjacency[iu, ju]
-        return list(zip(iu[mask].tolist(), ju[mask].tolist()))
-
 
 def _reachable_from(adj: np.ndarray, start: int) -> np.ndarray:
     seen = np.zeros(adj.shape[0], dtype=bool)
@@ -149,22 +143,6 @@ def build_combination_matrix(topo: Topology, rule: str = "uniform") -> Combinati
     else:
         raise ValueError(f"unknown combination rule {rule!r}")
     return CombinationMatrix(A, adjacency=adj)
-
-
-def validate_left_stochastic(A: np.ndarray) -> dict:
-    """Diagnostics: worst column-sum deviation from 1 and any negative entry."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    colsums = A.sum(axis=0)
-    deviation = np.abs(colsums - 1.0)
-    negatives = np.argwhere(A < 0)
-    return {
-        "max_column_deviation": float(deviation.max()),
-        "worst_column": int(deviation.argmax()),
-        "negative_entries": [tuple(ix) for ix in negatives.tolist()],
-        "ok": float(deviation.max()) <= STOCHASTIC_TOL and negatives.size == 0,
-    }
 
 
 def draw_noise_variances(K: int, low: float, high: float, seed: int) -> np.ndarray:

@@ -111,62 +111,6 @@ def make_ground_truth(L: int, seed) -> GroundTruth:
     return GroundTruth(w / np.linalg.norm(w))
 
 
-class NodeSignalState:
-    """One node's colored sequence and the ring buffer forming regressors.
-
-    The buffer is warmed with L stationary samples at times n0-L+1 .. n0
-    so the first regressor (at n0, default 0) is already valid.
-    """
-
-    def __init__(self, params: ColoredProcessParams, rng: np.random.Generator,
-                 start: int = 0):
-        self.params = params
-        L = params.length
-        self.n = start
-        # oldest-to-newest raw samples at times start-L+1 .. start
-        self._u = np.empty(L)
-        self._u[0] = rng.standard_normal()
-        c = math.sqrt(1.0 - params.rho ** 2)
-        for i in range(1, L):
-            self._u[i] = params.rho * self._u[i - 1] + c * rng.standard_normal()
-        self._times = np.arange(start - L + 1, start + 1)
-
-    @property
-    def last_sample(self) -> float:
-        return float(self._u[-1])
-
-    def advance(self, rng: np.random.Generator) -> float:
-        """Generate u at time n+1 and push it into the buffer."""
-        c = math.sqrt(1.0 - self.params.rho ** 2)
-        u_next = self.params.rho * self._u[-1] + c * rng.standard_normal()
-        self._u = np.roll(self._u, -1)
-        self._u[-1] = u_next
-        self._times = np.roll(self._times, -1)
-        self._times[-1] = self.n + 1
-        self.n += 1
-        return u_next
-
-    def regressor(self, profile: CyclostationaryProfile) -> np.ndarray:
-        """x_n = [sigma_x(n)u_n, ..., sigma_x(n-L+1)u_{n-L+1}]."""
-        scaled = sigma_at(profile, self._times) * self._u
-        return scaled[::-1].copy()
-
-
-def step_colored(state: NodeSignalState, rng: np.random.Generator) -> float:
-    """Advance the AR(1) recursion one sample; returns u at the new time."""
-    return state.advance(rng)
-
-
-def emit_regressor(state: NodeSignalState, profile: CyclostationaryProfile) -> np.ndarray:
-    return state.regressor(profile)
-
-
-def emit_desired(x: np.ndarray, truth: GroundTruth, sigma_z: float,
-                 rng: np.random.Generator) -> float:
-    """d = x^T w_star + z with z ~ N(0, sigma_z^2) from the node's own stream."""
-    return float(x @ truth.w_star) + sigma_z * rng.standard_normal()
-
-
 def colored_autocorrelation(params: ColoredProcessParams) -> np.ndarray:
     """R_u with entries rho**|i-j| (unit-variance AR(1)); Toeplitz SPD."""
     return toeplitz(params.rho ** np.arange(params.length))
@@ -189,8 +133,8 @@ def generate_node_signals(profile: CyclostationaryProfile,
 
     Returns (X, d) with X[n-1] the regressor at iteration n, shape
     (n_iters, L), and d the desired responses, shape (n_iters,).  The AR
-    recursion matches step_colored sample for sample; warm-up covers
-    times 2-L .. 0 so X[0] is fully formed.
+    recursion runs sample by sample from one stationary N(0, 1) draw;
+    warm-up covers times 2-L .. 0 so X[0] is fully formed.
     """
     L = params.length
     times = np.arange(2 - L, n_iters + 1)

@@ -118,12 +118,6 @@ def network_msd(Kmat: np.ndarray) -> float:
     return float(np.einsum("kii->", Kmat[idx, idx])) / K
 
 
-def expand_blocks(Kmat: np.ndarray) -> np.ndarray:
-    """Dense KL x KL view of a (K, K, L, L) block grid (tests, small sizes)."""
-    K, _, L, _ = Kmat.shape
-    return Kmat.transpose(0, 2, 1, 3).reshape(K * L, K * L)
-
-
 @dataclass
 class TheoryTrajectory:
     msd: np.ndarray            # (N,) linear MSD at n = 1..N

@@ -148,10 +148,11 @@ class TestCriterion5OracleEquivalences:
         Lw = 4
         P = np.eye(Lw) / DELTA
         Phi = DELTA * np.eye(Lw)
+        work = np.empty_like(P)
         worst = 0.0
         for _ in range(10_000):
             x = rng.standard_normal(Lw)
-            update_inverse_correlation(P, x, LAM)
+            update_inverse_correlation(P, x, LAM, work)
             Phi = LAM * Phi + np.outer(x, x)
             direct = np.linalg.inv(Phi)
             worst = max(worst, np.linalg.norm(P - direct)
@@ -174,12 +175,13 @@ class TestCriterion5OracleEquivalences:
         cm = CombinationMatrix(np.eye(Kd), adjacency=np.eye(Kd, dtype=bool))
         net = init_network(Ld, Kd, cm, LAM, DELTA)
         solo = [init_state(Ld, DELTA) for _ in range(Kd)]
+        net_work, solo_work = np.empty_like(net.nodes.P), np.empty((Ld, Ld))
         for n in range(N):
             drls_iteration(net, X[:, n, :], d[:, n],
-                           update_inverse_correlation(net.nodes.P, X[:, n, :], LAM))
+                           update_inverse_correlation(net.nodes.P, X[:, n, :], LAM, net_work))
             for k in range(Kd):
                 rls_iteration(solo[k], X[k, n], d[k, n],
-                              update_inverse_correlation(solo[k].P, X[k, n], LAM))
+                              update_inverse_correlation(solo[k].P, X[k, n], LAM, solo_work))
         worst = max(np.abs(net.nodes.w[k] - solo[k].w).max() for k in range(Kd))
         report(5, "identity-combiner degeneracy", worst < 1e-12,
                f"max |w_drls - w_rls| = {worst:.2e} over 1000 iters (tol 1e-12)")

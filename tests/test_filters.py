@@ -16,14 +16,19 @@ def identity_combiner(K):
     return CombinationMatrix(np.eye(K), adjacency=np.eye(K, dtype=bool))
 
 
+def update(P, x, lam):
+    """update_inverse_correlation with a fresh work buffer; returns the gain."""
+    return update_inverse_correlation(P, x, lam, np.empty_like(P))
+
+
 def rls_step(state, x, d, lam):
     """Standalone RLS: advance the state's own P, then its estimate."""
-    return rls_iteration(state, x, d, update_inverse_correlation(state.P, x, lam))
+    return rls_iteration(state, x, d, update(state.P, x, lam))
 
 
 def drls_step(net, x, d):
     """Standalone DRLS: advance the network's own P, then adapt and combine."""
-    return drls_iteration(net, x, d, update_inverse_correlation(net.nodes.P, x, net.lam))
+    return drls_iteration(net, x, d, update(net.nodes.P, x, net.lam))
 
 
 class TestInitState:
@@ -36,7 +41,7 @@ class TestInitState:
     def test_first_error_equals_d(self):
         state = init_state(3, delta=0.1)
         x, d = np.ones(3), 4.2
-        e, _ = adapt(state, x, d, update_inverse_correlation(state.P, x, LAM))
+        e, _ = adapt(state, x, d, update(state.P, x, LAM))
         assert e == pytest.approx(4.2)
 
     def test_nonpositive_delta_rejected(self):
@@ -48,15 +53,28 @@ class TestInverseCorrelationUpdate:
     def test_zero_regressor(self):
         P = np.array([[2.0, 0.5], [0.5, 1.0]])
         Pn = P.copy()
-        gain = update_inverse_correlation(Pn, np.zeros(2), 0.9)
+        gain = update(Pn, np.zeros(2), 0.9)
         assert np.allclose(Pn, P / 0.9)
         assert np.array_equal(gain, np.zeros(2))
 
     def test_scalar_oracle(self):
         # Phi' = lam*Phi + x^2 inverted directly
         Pn = np.array([[100.0]])
-        update_inverse_correlation(Pn, np.array([1.0]), 0.995)
+        update(Pn, np.array([1.0]), 0.995)
         assert Pn[0, 0] == pytest.approx(1.0 / (0.995 * 0.01 + 1.0))
+
+    def test_gain_is_updated_p_times_x(self):
+        # the returned Px / denom equals P' x in exact arithmetic
+        rng = np.random.default_rng(3)
+        L = 6
+        M = rng.standard_normal((4, 5, L, L))
+        P = M @ np.swapaxes(M, -1, -2) + np.eye(L)
+        x = rng.standard_normal((4, 5, L))
+        for lam in (0.9, 0.995):
+            Pn = P.copy()
+            gain = update(Pn, x, lam)
+            want = np.einsum("...ij,...j->...i", Pn, x)
+            assert np.abs(gain - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_matches_direct_inverse(self):
         rng = np.random.default_rng(0)
@@ -66,7 +84,7 @@ class TestInverseCorrelationUpdate:
         Phi = np.linalg.inv(P)
         for _ in range(50):
             x = rng.standard_normal(L)
-            update_inverse_correlation(P, x, LAM)
+            update(P, x, LAM)
             Phi = LAM * Phi + np.outer(x, x)
             direct = np.linalg.inv(Phi)
             assert np.linalg.norm(P - direct) / np.linalg.norm(direct) < 1e-8
@@ -81,7 +99,7 @@ class TestInverseCorrelationUpdate:
         Phi = delta * np.eye(L)
         for _ in range(30):
             x = rng.standard_normal(L)
-            update_inverse_correlation(P, x, lam)
+            update(P, x, lam)
             Phi = lam * Phi + np.outer(x, x)
             assert np.linalg.norm(P @ Phi - np.eye(L)) < 1e-8
 
@@ -92,7 +110,7 @@ class TestAdapt:
         state.w = np.array([1.0, -1.0])
         x = np.array([1.0, 1.0])
         d = float(x @ state.w)  # e = 0
-        _, psi = adapt(state, x, d, update_inverse_correlation(state.P, x, LAM))
+        _, psi = adapt(state, x, d, update(state.P, x, LAM))
         assert np.allclose(psi, state.w)
 
     def test_scalar_noiseless_convergence(self):
@@ -110,7 +128,7 @@ class TestAdapt:
         # catastrophic cancellation in the rank-one update
         state = init_state(1, delta=1e-8)
         x, d = np.array([2.0]), 3.0
-        _, psi = adapt(state, x, d, update_inverse_correlation(state.P, x, LAM))
+        _, psi = adapt(state, x, d, update(state.P, x, LAM))
         assert psi[0] == pytest.approx(d / x[0], rel=1e-6)
 
 

@@ -28,6 +28,13 @@ def identity_combiner(K):
     return CombinationMatrix(np.eye(K), adjacency=np.eye(K, dtype=bool))
 
 
+def line_network(K=4):
+    """Path graph with uniform weights: end nodes have fewer neighbours, so A != A^T."""
+    topo = build_topology("explicit", K, edges=[(k, k + 1) for k in range(K - 1)])
+    return (build_combination_matrix(topo),
+            draw_noise_variances(K, 0.01, 0.1, 1234))
+
+
 def symmetrized_update(P, x, lam):
     """Oracle: the inverse-correlation update as one algorithm's own step,
     with fresh arrays and an explicit 0.5 (P + P^T) pass."""
@@ -37,23 +44,47 @@ def symmetrized_update(P, x, lam):
     return 0.5 * (Pnew + np.swapaxes(Pnew, -1, -2))
 
 
-def independent_states_msd(comb, nv, profile, params, lam, delta, spec):
+def einsum_step(P, x, lam):
+    """Oracle: (P_n, gain) from the symmetrized update, the gain an einsum over P_n."""
+    P = symmetrized_update(P, x, lam)
+    return P, np.einsum("...ij,...j->...i", P, x)
+
+
+def einsum_combine(A, psi):
+    return np.einsum("lk,...li->...ki", A, psi)
+
+
+def blas_step(P, x, lam):
+    """(P_n, gain) in the package's arithmetic, written out with fresh arrays."""
+    Px = np.matmul(P, x[..., None])[..., 0]
+    denom = lam + np.einsum("...i,...i->...", x, Px)
+    u = Px / np.sqrt(lam * denom)[..., None]
+    return P * (1.0 / lam) - u[..., :, None] * u[..., None, :], Px / denom[..., None]
+
+
+def blas_combine(A, psi):
+    return np.matmul(A.T, psi)
+
+
+def independent_states_msd(comb, nv, profile, params, lam, delta, spec,
+                           step=blas_step, mix=blas_combine):
     """MSD curves from a loop that gives every algorithm its own P.
 
     Draws the signals through run_ensemble's seed layout and reduces in
-    run order, so the curves must equal run_ensemble's bit for bit.
+    run order.  With the default step and combine, the package's
+    arithmetic, the curves must equal run_ensemble's bit for bit.
     """
     A = comb.A
     K, L, N, R = A.shape[0], params.length, spec.iterations, spec.runs
     children = np.random.SeedSequence(spec.master_seed).spawn(1 + R)
     truth = make_ground_truth(L, children[0])
     sigma_z = np.sqrt(nv)
-    X = np.empty((R, K, N, L))
-    d = np.empty((R, K, N))
+    X = np.empty((N, R, K, L))
+    d = np.empty((N, R, K))
     for r in range(R):
         for k, node in enumerate(children[1 + r].spawn(K)):
             ss_u, ss_z = node.spawn(2)
-            X[r, k], d[r, k] = generate_node_signals(
+            X[:, r, k], d[:, r, k] = generate_node_signals(
                 profile, params, truth, sigma_z[k], N,
                 np.random.default_rng(ss_u), np.random.default_rng(ss_z))
     msd = {}
@@ -62,11 +93,11 @@ def independent_states_msd(comb, nv, profile, params, lam, delta, spec):
         w = np.zeros((R, K, L))
         dev_sq = np.empty((R, N))
         for n in range(N):
-            x, dn = X[:, :, n], d[:, :, n]
+            x, dn = X[n], d[n]
             e = dn - np.einsum("...i,...i->...", x, w)
-            P = symmetrized_update(P, x, lam)
-            psi = w + np.einsum("...ij,...j->...i", P, x) * e[..., None]
-            w = np.einsum("lk,...li->...ki", A, psi) if algo == "drls" else psi
+            P, gain = step(P, x, lam)
+            psi = w + gain * e[..., None]
+            w = mix(A, psi) if algo == "drls" else psi
             dev = w - truth.w_star
             dev_sq[:, n] = np.einsum("bki,bki->b", dev, dev)
         total = np.zeros(N)
@@ -196,6 +227,35 @@ class TestRunEnsemble:
         assert traj.msd_empirical.keys() == want.keys()
         for algo in algorithms:
             assert np.array_equal(traj.msd_empirical[algo], want[algo])
+
+    def test_blas_step_pinned_to_einsum_oracle(self):
+        # the einsum oracle (symmetrized update, einsum gain and combine)
+        # rounds differently from the package; over a long pulsed run with
+        # faint segments the curves agree to 1e-10 relative at every iteration
+        comb, nv = line_network(4)
+        profile = CyclostationaryProfile(kind="pulsed", period=32, duty_cycle=0.5,
+                                         v_low=2e-3, v_high=2.0)
+        params = ColoredProcessParams(rho=0.8, length=3)
+        spec = EnsembleSpec(runs=4, iterations=2500, master_seed=23)
+        traj = run_ensemble(comb, nv, profile, params, 0.995, 0.01, spec,
+                            include_theory=False, run_chunk=3)
+        want = independent_states_msd(comb, nv, profile, params, 0.995, 0.01, spec,
+                                      step=einsum_step, mix=einsum_combine)
+        assert traj.msd_empirical.keys() == want.keys() == {"rls", "drls"}
+        for algo in ("rls", "drls"):
+            rel = np.abs(traj.msd_empirical[algo] - want[algo]) / want[algo]
+            assert rel.max() <= 1e-10
+
+    def test_every_run_excluded_is_an_error(self):
+        # with no surviving run there is nothing to average, whatever the
+        # allowed fraction
+        comb, nv = desk_network(3)
+        spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
+        with pytest.raises(ExcludedRunThresholdError, match="8 of 8 runs excluded"):
+            run_ensemble(comb, nv, CyclostationaryProfile(kind="constant", level=0.003),
+                         ColoredProcessParams(rho=0.8, length=2), 0.995, 0.01,
+                         spec, guard=200.0, include_theory=False,
+                         max_excluded_fraction=1.0)
 
     def test_theory_only(self):
         comb, nv = desk_network(3)

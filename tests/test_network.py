@@ -2,9 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drlsnet.network import (CombinationMatrix, Topology, TopologyError,
-                             build_combination_matrix, build_topology,
-                             draw_noise_variances, validate_left_stochastic)
+from drlsnet.network import (STOCHASTIC_TOL, CombinationMatrix, Topology,
+                             TopologyError, build_combination_matrix,
+                             build_topology, draw_noise_variances)
+
+
+def validate_left_stochastic(A: np.ndarray) -> dict:
+    """Diagnostics: worst column-sum deviation from 1 and any negative entry."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("A must be square")
+    colsums = A.sum(axis=0)
+    deviation = np.abs(colsums - 1.0)
+    negatives = np.argwhere(A < 0)
+    return {
+        "max_column_deviation": float(deviation.max()),
+        "worst_column": int(deviation.argmax()),
+        "negative_entries": [tuple(ix) for ix in negatives.tolist()],
+        "ok": float(deviation.max()) <= STOCHASTIC_TOL and negatives.size == 0,
+    }
 
 
 def bfs_reachable(adj):

@@ -5,14 +5,72 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
-                             GroundTruth, NodeSignalState,
-                             colored_autocorrelation, emit_desired,
-                             emit_regressor, generate_node_signals,
-                             input_covariance, make_ground_truth, sigma_at,
-                             step_colored)
+                             GroundTruth, colored_autocorrelation,
+                             generate_node_signals, input_covariance,
+                             make_ground_truth, sigma_at)
 
 PULSED = CyclostationaryProfile(kind="pulsed", period=4, duty_cycle=0.5,
                                 v_low=2e-3, v_high=2.0)
+
+
+# Streaming generator: the oracle that generate_node_signals must match
+# sample for sample.
+
+
+class NodeSignalState:
+    """One node's colored sequence and the ring buffer forming regressors.
+
+    The buffer is warmed with L stationary samples at times n0-L+1 .. n0
+    so the first regressor (at n0, default 0) is already valid.
+    """
+
+    def __init__(self, params: ColoredProcessParams, rng: np.random.Generator,
+                 start: int = 0):
+        self.params = params
+        L = params.length
+        self.n = start
+        # oldest-to-newest raw samples at times start-L+1 .. start
+        self._u = np.empty(L)
+        self._u[0] = rng.standard_normal()
+        c = math.sqrt(1.0 - params.rho ** 2)
+        for i in range(1, L):
+            self._u[i] = params.rho * self._u[i - 1] + c * rng.standard_normal()
+        self._times = np.arange(start - L + 1, start + 1)
+
+    @property
+    def last_sample(self) -> float:
+        return float(self._u[-1])
+
+    def advance(self, rng: np.random.Generator) -> float:
+        """Generate u at time n+1 and push it into the buffer."""
+        c = math.sqrt(1.0 - self.params.rho ** 2)
+        u_next = self.params.rho * self._u[-1] + c * rng.standard_normal()
+        self._u = np.roll(self._u, -1)
+        self._u[-1] = u_next
+        self._times = np.roll(self._times, -1)
+        self._times[-1] = self.n + 1
+        self.n += 1
+        return u_next
+
+    def regressor(self, profile: CyclostationaryProfile) -> np.ndarray:
+        """x_n = [sigma_x(n)u_n, ..., sigma_x(n-L+1)u_{n-L+1}]."""
+        scaled = sigma_at(profile, self._times) * self._u
+        return scaled[::-1].copy()
+
+
+def step_colored(state: NodeSignalState, rng: np.random.Generator) -> float:
+    """Advance the AR(1) recursion one sample; returns u at the new time."""
+    return state.advance(rng)
+
+
+def emit_regressor(state: NodeSignalState, profile: CyclostationaryProfile) -> np.ndarray:
+    return state.regressor(profile)
+
+
+def emit_desired(x: np.ndarray, truth: GroundTruth, sigma_z: float,
+                 rng: np.random.Generator) -> float:
+    """d = x^T w_star + z with z ~ N(0, sigma_z^2) from the node's own stream."""
+    return float(x @ truth.w_star) + sigma_z * rng.standard_normal()
 
 
 class TestSigmaAt:

@@ -10,9 +10,9 @@ from drlsnet.network import build_combination_matrix, build_topology
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
                              generate_node_signals, input_covariance,
                              make_ground_truth)
-from drlsnet.theory import (TheoryTrajectory, expand_blocks,
-                            expected_phi_step, initial_theory_state,
-                            k_matrix_step, mean_error_step, network_msd,
+from drlsnet.theory import (TheoryTrajectory, expected_phi_step,
+                            initial_theory_state, k_matrix_step,
+                            mean_error_step, network_msd,
                             theoretical_trajectory, transition_blocks)
 
 LAM = 0.995
@@ -20,6 +20,12 @@ PULSED4 = CyclostationaryProfile(kind="pulsed", period=4, duty_cycle=0.5,
                                  v_low=2e-3, v_high=2.0)
 CONST = CyclostationaryProfile(kind="constant", level=1.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def expand_blocks(Kmat: np.ndarray) -> np.ndarray:
+    """Dense KL x KL view of a (K, K, L, L) block grid (small sizes)."""
+    K, _, L, _ = Kmat.shape
+    return Kmat.transpose(0, 2, 1, 3).reshape(K * L, K * L)
 
 
 def einsum_k_matrix_step(Kmat_prev, B, EPhi_n, A, lam, noise_variances, R_x_n):
