@@ -83,9 +83,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, *,
         cfg.process_params(), cfg.values["algorithm"]["forgetting_factor"],
         cfg.values["algorithm"]["delta"], cfg.ensemble_spec(),
         guard=cfg.values["algorithm"]["guard"],
-        inverse_delta_init=cfg.values["algorithm"]["ephi_init"] == "inverse_delta",
         snapshot_every=out["snapshot_every"],
-        config_echo=cfg.resolved_dict(),
     )
     runtime = time.perf_counter() - started
 

@@ -84,7 +84,6 @@ SCHEMA = {
         "delta": (float, "0.01"),
         "algorithms": (lambda s: _parse_list(s, str), "rls, drls"),
         "guard": (float, "1e12"),
-        "ephi_init": (str, "delta"),
     },
     "ensemble": {
         "runs": (int, "200"),
@@ -220,8 +219,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         fail("algorithm.delta", "must be positive")
     if alg["guard"] <= 0:
         fail("algorithm.guard", "must be positive")
-    if alg["ephi_init"] not in ("delta", "inverse_delta"):
-        fail("algorithm.ephi_init", "must be 'delta' or 'inverse_delta'")
     for a in alg["algorithms"]:
         if a not in ALGORITHMS:
             fail("algorithm.algorithms", f"unknown algorithm {a!r}")

@@ -36,10 +36,6 @@ class NodeFilterState:
     w: np.ndarray   # (..., L)
     P: np.ndarray   # (..., L, L)
 
-    @property
-    def length(self) -> int:
-        return self.w.shape[-1]
-
 
 def init_state(L: int, delta: float, batch_shape: tuple[int, ...] = ()) -> NodeFilterState:
     """w = 0, P = delta^-1 * I; delta must be positive."""

@@ -12,7 +12,6 @@ seed through a fixed SeedSequence spawn layout:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +64,6 @@ class Trajectory:
     snapshots: dict[str, dict] = field(default_factory=dict)
     excluded_runs: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
     runs_effective: dict[str, int] = field(default_factory=dict)
-    config_echo: dict | None = None
-    wall_clock_s: float = 0.0
 
 
 class ExcludedRunThresholdError(RuntimeError):
@@ -81,10 +78,9 @@ def _default_chunk(K: int, N: int, L: int) -> int:
 def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                  profile, params: ColoredProcessParams, lam: float,
                  delta: float, spec: EnsembleSpec, *, guard: float = 1e12,
-                 inverse_delta_init: bool = False, include_theory: bool = True,
-                 collect_mean_error: bool = False, run_chunk: int | None = None,
-                 max_excluded_fraction: float = 0.01, snapshot_every: int = 0,
-                 config_echo: dict | None = None) -> Trajectory:
+                 include_theory: bool = True, collect_mean_error: bool = False,
+                 run_chunk: int | None = None, max_excluded_fraction: float = 0.01,
+                 snapshot_every: int = 0) -> Trajectory:
     """Simulate the selected algorithms over R independent runs.
 
     Empirical MSD_n averages ||w_{k,n} - w_star||^2 over surviving runs
@@ -92,9 +88,10 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     inverse correlation matrix trips the magnitude guard are excluded
     entirely and reported; the experiment fails if more than
     `max_excluded_fraction` of runs, or every run, are lost for any
-    algorithm.
+    algorithm.  With `collect_mean_error`, the DRLS ensemble mean of
+    w_{k,n} - w_star is kept too, as its norm per iteration (None when
+    DRLS is not selected).
     """
-    t0 = time.perf_counter()
     A = combiner.A
     K = A.shape[0]
     L = params.length
@@ -113,7 +110,9 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
 
     algos = [a for a in ALGORITHMS if a in spec.algorithms]
     dev_sq_sum = {a: np.zeros(N) for a in algos}
-    err_sum = {a: np.zeros((N, K, L)) for a in algos} if collect_mean_error else None
+    # the ensemble mean error is kept for DRLS only, the theory's counterpart
+    keep_err = collect_mean_error and "drls" in algos
+    err_sum = np.zeros((N, K, L)) if keep_err else None
     excluded: dict[str, list[tuple[int, int]]] = {a: [] for a in algos}
     snapshots: dict[str, dict] = {}  # first run's per-node weights
 
@@ -144,8 +143,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         bad = np.zeros(B, dtype=bool)
         bad_at = np.full(B, -1, dtype=int)
         dev_sq = {a: np.empty((B, N)) for a in algos}
-        err_traj = ({a: np.empty((B, N, K, L)) for a in algos}
-                    if collect_mean_error else None)
+        err_traj = np.empty((B, N, K, L)) if keep_err else None
 
         for n in range(N):
             x_n = X[n]
@@ -167,8 +165,8 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                     w = states[a].w
                 dev = w - truth.w_star
                 dev_sq[a][:, n] = np.einsum("bki,bki->b", dev, dev)
-                if collect_mean_error:
-                    err_traj[a][:, n] = dev
+                if keep_err and a == "drls":
+                    err_traj[:, n] = dev
                 if snapshot_every and run_ids.start == 0 and (n + 1) % snapshot_every == 0:
                     snap = snapshots.setdefault(a, {"iteration": [], "weights": []})
                     snap["iteration"].append(n + 1)
@@ -181,8 +179,8 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                     excluded[a].append((r, int(bad_at[b])))
                     continue
                 dev_sq_sum[a] += dev_sq[a][b]
-                if collect_mean_error:
-                    err_sum[a] += err_traj[a][b]
+                if keep_err and a == "drls":
+                    err_sum[:] += err_traj[b]
 
     chunk = run_chunk or _default_chunk(K, N, L)
     for start in range(0, R if algos else 0, chunk):
@@ -196,17 +194,13 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                 f"{max_excluded_fraction:.0%}, and not all); first: {excluded[a][:5]}")
 
     msd_empirical = {a: dev_sq_sum[a] / (runs_effective[a] * K) for a in algos}
-    mean_err_norm_emp = None
-    if collect_mean_error and algos:
-        a = "drls" if "drls" in algos else algos[0]
-        mean_err_norm_emp = np.linalg.norm(
-            err_sum[a] / runs_effective[a], axis=(1, 2))
+    mean_err_norm_emp = (np.linalg.norm(err_sum / runs_effective["drls"], axis=(1, 2))
+                         if keep_err else None)
 
     msd_theory = mean_err_norm_theory = None
     if include_theory:
         theory = theoretical_trajectory(profiles, params, A, noise_variances,
-                                        truth.w_star, lam, delta, N,
-                                        inverse_delta_init=inverse_delta_init)
+                                        truth.w_star, lam, delta, N)
         msd_theory = theory.msd
         mean_err_norm_theory = theory.mean_err_norm
 
@@ -216,9 +210,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         mean_err_norm_theory=mean_err_norm_theory,
         mean_err_norm_empirical=mean_err_norm_emp,
         w_star=truth.w_star.copy(), snapshots=snapshots, excluded_runs=excluded,
-        runs_effective=runs_effective, config_echo=config_echo,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+        runs_effective=runs_effective)
 
 
 def compare_theory_empirical(traj: Trajectory, *, algorithm: str = "drls",

@@ -30,6 +30,11 @@ from .signals import (ColoredProcessParams, CyclostationaryProfile,
                       colored_autocorrelation, sigma_at)
 
 
+# tr(K_n)/K may dip below zero by this much, relative to max(1, |tr(K_n)/K|),
+# before K_n counts as no longer positive semidefinite
+PSD_TOL = 1e-9
+
+
 class TheoryError(RuntimeError):
     """The theory recursions broke down numerically (singular E{Phi}, K_n not PSD)."""
 
@@ -41,19 +46,16 @@ class TheoryState:
     EPhi: np.ndarray        # (K, L, L) diagonal blocks of E{Phi_n}
     mean_err: np.ndarray    # (K, L)
     Kmat: np.ndarray        # (K, K, L, L) block grid, symmetric PSD
-    n: int = 0
 
 
-def initial_theory_state(K: int, L: int, delta: float, w_star: np.ndarray,
-                         inverse_delta_init: bool = False) -> TheoryState:
+def initial_theory_state(K: int, L: int, delta: float,
+                         w_star: np.ndarray) -> TheoryState:
     """Deterministic start: w_0 = 0 so werr_0 = -w_star at every node.
 
-    E{Phi_0} defaults to delta*I per block, tracking the simulated filter's
-    Phi_{k,0} = delta*I; `inverse_delta_init` switches to delta^-1*I for
-    sensitivity checks.
+    E{Phi_0} = delta*I per block, tracking the simulated filter's
+    Phi_{k,0} = P_{k,0}^-1 = delta*I.
     """
-    scale = 1.0 / delta if inverse_delta_init else delta
-    EPhi = np.broadcast_to(scale * np.eye(L), (K, L, L)).copy()
+    EPhi = np.broadcast_to(delta * np.eye(L), (K, L, L)).copy()
     mean_err = np.tile(-np.asarray(w_star, dtype=float), (K, 1))
     Kmat = np.einsum("ka,lb->klab", mean_err, mean_err)
     return TheoryState(EPhi=EPhi, mean_err=mean_err, Kmat=Kmat)
@@ -128,13 +130,12 @@ def theoretical_trajectory(profile,
                            params: ColoredProcessParams,
                            A: np.ndarray, noise_variances: np.ndarray,
                            w_star: np.ndarray, lam: float, delta: float,
-                           N: int, inverse_delta_init: bool = False,
-                           psd_tol: float = 1e-9) -> TheoryTrajectory:
+                           N: int) -> TheoryTrajectory:
     """Iterate all three recursions for n = 1..N.
 
     `profile` is either one shared CyclostationaryProfile or a sequence of
     K node-specific ones (same period).  Raises TheoryError if an E{Phi_n}
-    block is singular or K_n loses positive semidefiniteness beyond psd_tol
+    block is singular or K_n loses positive semidefiniteness beyond PSD_TOL
     relative to its scale.
     """
     K = A.shape[0]
@@ -144,8 +145,7 @@ def theoretical_trajectory(profile,
         raise ValueError(f"expected {K} node profiles, got {len(profiles)}")
     if len({p.period for p in profiles}) != 1:
         raise ValueError("node profiles must share one period")
-    state = initial_theory_state(K, L, delta, w_star,
-                                 inverse_delta_init=inverse_delta_init)
+    state = initial_theory_state(K, L, delta, w_star)
     msd = np.empty(N)
     err_norm = np.empty(N)
     period = profiles[0].period
@@ -163,9 +163,8 @@ def theoretical_trajectory(profile,
         state.Kmat = k_matrix_step(state.Kmat, B, EPhi_n, A, lam,
                                    noise_variances, R_x_n)
         state.EPhi = EPhi_n
-        state.n = n
         m = network_msd(state.Kmat)
-        if m < -psd_tol * max(1.0, abs(m)):
+        if m < -PSD_TOL * max(1.0, abs(m)):
             raise TheoryError(f"K_n lost positive semidefiniteness at n={n}: tr/K={m:.3e}")
         msd[n - 1] = m
         err_norm[n - 1] = np.linalg.norm(state.mean_err)

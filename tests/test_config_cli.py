@@ -206,6 +206,13 @@ class TestMain:
     def test_missing_file(self):
         assert main(["check", "/nonexistent/nope.ini"]) == EXIT_VALIDATION
 
+    def test_check_rejects_ephi_init(self, tmp_path, capsys):
+        # E{Phi_0} = delta*I always, so the key that chose it is unknown
+        path = tmp_path / "c.ini"
+        write_ini(path, {**SMALL, "algorithm": {"ephi_init": "delta"}})
+        assert main(["check", str(path)]) == EXIT_VALIDATION
+        assert "algorithm.ephi_init: unknown key" in capsys.readouterr().err
+
     def test_run_command(self, tmp_path):
         path = tmp_path / "c.ini"
         write_ini(path, SMALL)
@@ -242,6 +249,21 @@ class TestMain:
                             lambda EPhi_prev, R_x_n, lam: np.zeros_like(EPhi_prev))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
         assert "not invertible" in capsys.readouterr().err
+
+    def test_k_matrix_not_psd_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "c.ini"
+        write_ini(path, SMALL)
+        step = theory.k_matrix_step
+        monkeypatch.setattr(theory, "k_matrix_step", lambda *args: -step(*args))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+        assert "positive semidefiniteness" in capsys.readouterr().err
+
+    def test_guard_exclusions_are_numeric_failure(self, tmp_path, capsys):
+        # P_0 = I/delta = 100*I, so every run passes a guard of 50 at iteration 1
+        path = tmp_path / "c.ini"
+        write_ini(path, {**SMALL, "algorithm": {"guard": "50"}})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+        assert "3 of 3 runs excluded" in capsys.readouterr().err
 
     def test_programming_error_is_not_numeric_failure(self, tmp_path, monkeypatch):
         path = tmp_path / "c.ini"

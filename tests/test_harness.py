@@ -153,6 +153,24 @@ class TestRunEnsemble:
             assert np.array_equal(a.msd_empirical[algo], b.msd_empirical[algo])
             assert np.array_equal(a.msd_empirical[algo], c.msd_empirical[algo])
 
+    def test_mean_error_is_drls_only(self):
+        # the empirical mean error is DRLS's whatever else runs beside it,
+        # independent of chunking, and absent when DRLS does not run
+        comb, nv = desk_network(4)
+
+        def mean_error(algorithms, **kwargs):
+            spec = EnsembleSpec(runs=5, iterations=60, master_seed=17,
+                                algorithms=algorithms)
+            return run_ensemble(comb, nv, CONST, ColoredProcessParams(rho=0.8, length=3),
+                                0.995, 0.01, spec, include_theory=False,
+                                collect_mean_error=True, **kwargs).mean_err_norm_empirical
+
+        drls = mean_error(("drls",))
+        assert drls.shape == (60,) and np.isfinite(drls).all()
+        assert np.array_equal(mean_error(("rls", "drls")), drls)
+        assert np.array_equal(mean_error(("drls",), run_chunk=2), drls)
+        assert mean_error(("rls",)) is None
+
     def test_initial_msd_anchor(self):
         # w_0 = 0 and ||w_star||^2 = 1: MSD at n=0 is 0 dB by construction
         comb, nv = desk_network(3)

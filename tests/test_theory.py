@@ -10,7 +10,7 @@ from drlsnet.network import build_combination_matrix, build_topology
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
                              generate_node_signals, input_covariance,
                              make_ground_truth)
-from drlsnet.theory import (TheoryTrajectory, expected_phi_step,
+from drlsnet.theory import (TheoryError, TheoryTrajectory, expected_phi_step,
                             initial_theory_state, k_matrix_step,
                             mean_error_step, network_msd,
                             theoretical_trajectory, transition_blocks)
@@ -375,6 +375,28 @@ class TestTrajectory:
         for n, R in enumerate(seen, start=1):
             want = np.stack([input_covariance(p, params, n) for p in profs])
             assert np.array_equal(R, want), n
+
+    @pytest.mark.parametrize("scale, breaks", [(0.5, False), (2.0, True)])
+    def test_negative_trace_tolerance(self, monkeypatch, scale, breaks):
+        # every K_n has tr/K = -scale * PSD_TOL: within the tolerance it is
+        # rounding noise and kept, beyond it the trajectory stops at n=1
+        K, L = 3, 2
+        A = build_combination_matrix(build_topology("ring", K)).A
+
+        def dipping(Kmat_prev, *args):
+            out = np.zeros_like(Kmat_prev)
+            out[np.arange(K), np.arange(K)] = -scale * theory.PSD_TOL / L * np.eye(L)
+            return out
+
+        monkeypatch.setattr(theory, "k_matrix_step", dipping)
+        args = (PULSED4, ColoredProcessParams(rho=0.5, length=L), A, np.full(K, 0.05),
+                make_ground_truth(L, 1).w_star, LAM, 0.01, 5)
+        if breaks:
+            with pytest.raises(TheoryError, match="semidefiniteness at n=1"):
+                theoretical_trajectory(*args)
+        else:
+            msd = theoretical_trajectory(*args).msd
+            assert np.allclose(msd, -scale * theory.PSD_TOL, rtol=1e-12, atol=0)
 
     def test_profile_count_mismatch_rejected(self):
         params = ColoredProcessParams(rho=0.5, length=2)
