@@ -2,8 +2,9 @@
 
 Runs are vectorized in chunks (leading batch axis) but reduced into the
 averaged curves one run at a time, in run order, so the results do not
-depend on the chunk size.  Every random stream is derived from the master
-seed through a fixed SeedSequence spawn layout:
+depend on the chunk size, nor on the length of the time blocks in which
+a chunk's signals are generated.  Every random stream is derived from
+the master seed through a fixed SeedSequence spawn layout:
 
     root -> [w_star, run_0, run_1, ...]
     run_r -> [node_0, ..., node_{K-1}]
@@ -71,8 +72,15 @@ class ExcludedRunThresholdError(RuntimeError):
 
 
 def _default_chunk(K: int, N: int, L: int) -> int:
-    # keep per-chunk signal storage around 100 MB
+    # runs simulated together: bounds the chunk's (B, N) per-run curves
+    # and, with collect_mean_error, its (B, N, K, L) error trajectory,
+    # which stays around 100 MB; signals are held one time block at a time
     return max(1, int(1.5e7 / (K * N * L)))
+
+
+# regressor elements per signal block (8 MB): a chunk's signals are
+# generated this many elements at a time, into one reused buffer
+_SIGNAL_BLOCK = 1_000_000
 
 
 def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
@@ -91,6 +99,12 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     algorithm.  With `collect_mean_error`, the DRLS ensemble mean of
     w_{k,n} - w_star is kept too, as its norm per iteration (None when
     DRLS is not selected).
+
+    Runs are simulated `run_chunk` at a time (default `_default_chunk`),
+    and each chunk's signals are generated in time blocks of about
+    `_SIGNAL_BLOCK` regressor elements into one reused buffer, each
+    node-run carrying its generators and filter state across blocks.
+    Neither size changes any result.
     """
     A = combiner.A
     K = A.shape[0]
@@ -120,15 +134,28 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         # adds the runs' curves to the sums above; a function of its own,
         # so the chunk's signals and work buffer are freed before the theory
         B = len(run_ids)
-        X = np.empty((N, B, K, L))  # time-major, so X[n] is contiguous
-        d = np.empty((N, B, K))
+        nb = min(N, max(1, _SIGNAL_BLOCK // (B * K * L)))
+        X = np.empty((nb, B, K, L))  # time-major, so X[j] is contiguous
+        d = np.empty((nb, B, K))
+        # the first block; when later blocks follow, each node-run keeps
+        # its node, its columns of the block, its two generators and the
+        # carry its next block continues from
+        streams = []
         for b, r in enumerate(run_ids):
-            node_seqs = children[1 + r].spawn(K)
-            for k in range(K):
-                ss_u, ss_z = node_seqs[k].spawn(2)
-                X[:, b, k], d[:, b, k] = generate_node_signals(
-                    profiles[k], params, truth, sigma_z[k], N,
-                    np.random.default_rng(ss_u), np.random.default_rng(ss_z))
+            for k, node in enumerate(children[1 + r].spawn(K)):
+                ss_u, ss_z = node.spawn(2)
+                rng_u, rng_z = np.random.default_rng(ss_u), np.random.default_rng(ss_z)
+                X[:, b, k], d[:, b, k], carry = generate_node_signals(
+                    profiles[k], params, truth, sigma_z[k], nb, rng_u, rng_z)
+                if nb < N:
+                    streams.append([k, X[:, b, k], d[:, b, k], rng_u, rng_z, carry])
+
+        def next_block(n0: int) -> None:
+            size = min(nb, N - n0)
+            for s in streams:
+                k, x_k, d_k, rng_u, rng_z, carry = s
+                x_k[:size], d_k[:size], s[5] = generate_node_signals(
+                    profiles[k], params, truth, sigma_z[k], size, rng_u, rng_z, carry)
 
         # P_{k,n} depends only on node k's regressors, lam and delta, so
         # the selected algorithms share one recursion and its gain
@@ -146,8 +173,11 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         err_traj = np.empty((B, N, K, L)) if keep_err else None
 
         for n in range(N):
-            x_n = X[n]
-            d_n = d[n]
+            j = n % nb
+            if j == 0 and n:
+                next_block(n)
+            x_n = X[j]
+            d_n = d[j]
             gain = update_inverse_correlation(P, x_n, lam, work)
             # NaN and +-inf trip too: no comparison with NaN is true
             trip = ~(np.maximum(P.max(axis=(-3, -2, -1)),
@@ -218,19 +248,23 @@ def compare_theory_empirical(traj: Trajectory, *, algorithm: str = "drls",
                              steady_window: int = 500) -> dict:
     """Absolute dB deviation between theory and empirical MSD curves.
 
-    Windows are iteration indices (1-based, inclusive); the steady-state
-    window is the final `steady_window` iterations.
+    Windows are iteration indices (1-based, inclusive) and must lie
+    within the N-iteration curves: 1 <= lo <= hi <= N for the transient
+    window, and the steady-state window is the final `steady_window`
+    iterations, 1 <= steady_window <= N.
     """
     if traj.msd_theory is None or algorithm not in traj.msd_empirical:
         raise ValueError("trajectory must carry both curves")
     emp_db = to_db(traj.msd_empirical[algorithm])
     th_db = to_db(traj.msd_theory)
     dev = np.abs(emp_db - th_db)
+    N = dev.size
     lo, hi = transient_window
+    if not (1 <= lo <= hi <= N and 1 <= steady_window <= N):
+        raise ValueError(f"comparison windows (transient {lo}..{hi}, steady last "
+                         f"{steady_window}) fall outside iterations 1..{N}")
     transient = dev[lo - 1:hi]
     steady = dev[-steady_window:]
-    if transient.size == 0 or steady.size == 0:
-        raise ValueError("comparison windows fall outside the trajectory")
     return {
         "transient_mean_abs_db": float(transient.mean()),
         "transient_max_abs_db": float(transient.max()),

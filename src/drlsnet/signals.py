@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -123,28 +124,56 @@ def input_covariance(profile: CyclostationaryProfile,
     return colored_autocorrelation(params) * np.outer(s, s)
 
 
+class SignalCarry(NamedTuple):
+    """What a node-run's next block of signals continues from."""
+
+    zf: np.ndarray      # AR(1) filter state after the last raw sample
+    tail: np.ndarray    # the last L-1 scaled samples, oldest first
+    next_time: int      # time index of the next sample to generate
+
+
+def _ar1(innov: np.ndarray, rho: float, zi) -> tuple[np.ndarray, np.ndarray]:
+    """Continue u_n = rho u_{n-1} + sqrt(1-rho^2) w_n from state zi = rho u_prev."""
+    if innov.size == 0:  # lfilter's final state is undefined on empty input
+        return innov, np.asarray(zi, dtype=float)
+    return lfilter([math.sqrt(1.0 - rho ** 2)], [1.0, -rho], innov, zi=zi)
+
+
 def generate_node_signals(profile: CyclostationaryProfile,
                           params: ColoredProcessParams,
                           truth: GroundTruth, sigma_z: float,
                           n_iters: int,
                           rng_u: np.random.Generator,
-                          rng_z: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized batch generation for one node over iterations 1..n_iters.
+                          rng_z: np.random.Generator,
+                          carry: SignalCarry | None = None,
+                          ) -> tuple[np.ndarray, np.ndarray, SignalCarry]:
+    """One node's signals for the next `n_iters` iterations, as one block.
 
-    Returns (X, d) with X[n-1] the regressor at iteration n, shape
-    (n_iters, L), and d the desired responses, shape (n_iters,).  The AR
-    recursion runs sample by sample from one stationary N(0, 1) draw;
-    warm-up covers times 2-L .. 0 so X[0] is fully formed.
+    Returns (X, d, carry): X[j] is the regressor at the block's j-th
+    iteration, shape (n_iters, L), d the desired responses, shape
+    (n_iters,), and carry what the next block continues from.  With
+    `carry=None` the block starts at iteration 1: the AR recursion runs
+    from one stationary N(0, 1) draw, and warm-up covers times 2-L .. 0
+    so X[0] is fully formed.  Feeding each block's carry, with the same
+    two generators, into the next call yields exactly the samples of one
+    call over all the iterations: the draws and the filter state chain.
     """
-    L = params.length
-    times = np.arange(2 - L, n_iters + 1)
-    innov = rng_u.standard_normal(times.size)
-    c = math.sqrt(1.0 - params.rho ** 2)
-    u0 = innov[0]  # stationary N(0,1) draw at the earliest time
-    u_rest = lfilter([c], [1.0, -params.rho], innov[1:], zi=[params.rho * u0])[0]
-    u = np.concatenate(([u0], u_rest))
-    scaled = sigma_at(profile, times) * u
-    # window j ends at time j+1; reversed so the newest tap comes first
-    X = np.lib.stride_tricks.sliding_window_view(scaled, L)[:, ::-1]
+    L, rho = params.length, params.rho
+    if carry is None:
+        start, tail = 2 - L, np.empty(0)
+        innov = rng_u.standard_normal(n_iters + L - 1)
+        u_rest, zf = _ar1(innov[1:], rho, [rho * innov[0]])
+        u = np.concatenate((innov[:1], u_rest))
+    else:
+        start, tail = carry.next_time, carry.tail
+        u, zf = _ar1(rng_u.standard_normal(n_iters), rho, carry.zf)
+    scaled = np.concatenate((tail, sigma_at(profile, np.arange(start, start + u.size)) * u))
+    # row j is the window ending at the block's j-th iteration, newest tap
+    # first: a reversed sliding-window view.  d is taken on this view: a
+    # contiguous copy would round differently in the last bit.
+    step = scaled.itemsize
+    X = np.ndarray((n_iters, L), buffer=scaled, offset=(L - 1) * step,
+                   strides=(step, -step))
     d = X @ truth.w_star + sigma_z * rng_z.standard_normal(n_iters)
-    return np.ascontiguousarray(X), d
+    return (np.ascontiguousarray(X), d,
+            SignalCarry(zf, scaled[scaled.size - L + 1:].copy(), start + u.size))

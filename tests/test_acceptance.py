@@ -169,9 +169,9 @@ class TestCriterion5OracleEquivalences:
         d = np.empty((Kd, N))
         for k, ss in enumerate(np.random.SeedSequence(5).spawn(Kd)):
             su, sz = ss.spawn(2)
-            X[k], d[k] = generate_node_signals(prof, par, truth, 0.3, N,
-                                               np.random.default_rng(su),
-                                               np.random.default_rng(sz))
+            X[k], d[k], _ = generate_node_signals(prof, par, truth, 0.3, N,
+                                                  np.random.default_rng(su),
+                                                  np.random.default_rng(sz))
         cm = CombinationMatrix(np.eye(Kd), adjacency=np.eye(Kd, dtype=bool))
         net = init_network(Ld, Kd, cm, LAM, DELTA)
         solo = [init_state(Ld, DELTA) for _ in range(Kd)]
@@ -225,9 +225,9 @@ class TestCriterion5OracleEquivalences:
         acc = np.zeros((2, 2))
         for r, ss in enumerate(np.random.SeedSequence(77).spawn(runs)):
             su, sz = ss.spawn(2)
-            X, _ = generate_node_signals(prof, par, truth, 0.1, n_check,
-                                         np.random.default_rng(su),
-                                         np.random.default_rng(sz))
+            X, _, _ = generate_node_signals(prof, par, truth, 0.1, n_check,
+                                            np.random.default_rng(su),
+                                            np.random.default_rng(sz))
             Phi = DELTA * np.eye(2)
             for n in range(n_check):
                 Phi = LAM * Phi + np.outer(X[n], X[n])
@@ -247,9 +247,9 @@ class TestCriterion6StatisticalGenerators:
         par = ColoredProcessParams(rho=RHO, length=1)
         prof = CyclostationaryProfile(kind="constant", level=1.0)
         truth = make_ground_truth(1, 0)
-        X, _ = generate_node_signals(prof, par, truth, 0.0, 1_000_000,
-                                     np.random.default_rng(3),
-                                     np.random.default_rng(4))
+        X, _, _ = generate_node_signals(prof, par, truth, 0.0, 1_000_000,
+                                        np.random.default_rng(3),
+                                        np.random.default_rng(4))
         u = X[:, 0]
         var, lag1 = u.var(), float(np.mean(u[1:] * u[:-1]))
         ok = abs(var - 1.0) < 0.01 and abs(lag1 - RHO) / RHO < 0.01
@@ -261,9 +261,9 @@ class TestCriterion6StatisticalGenerators:
         par = ColoredProcessParams(rho=RHO, length=4)
         prof = CyclostationaryProfile(kind="constant", level=1.0)
         truth = make_ground_truth(4, 0)
-        X, _ = generate_node_signals(prof, par, truth, 0.0, 1_000_000,
-                                     np.random.default_rng(5),
-                                     np.random.default_rng(6))
+        X, _, _ = generate_node_signals(prof, par, truth, 0.0, 1_000_000,
+                                        np.random.default_rng(5),
+                                        np.random.default_rng(6))
         R = input_covariance(prof, par, 10)
         assert np.allclose(R, colored_autocorrelation(par))
         rel = np.abs((X.T @ X / X.shape[0] - R) / R).max()

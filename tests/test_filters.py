@@ -163,9 +163,9 @@ def make_node_data(K, L, N, sigma_z, seed, period=1, kind="constant"):
     d = np.empty((K, N))
     for k, ss in enumerate(np.random.SeedSequence(seed).spawn(K)):
         su, sz = ss.spawn(2)
-        X[k], d[k] = generate_node_signals(profile, params, truth, sigma_z, N,
-                                           np.random.default_rng(su),
-                                           np.random.default_rng(sz))
+        X[k], d[k], _ = generate_node_signals(profile, params, truth, sigma_z, N,
+                                              np.random.default_rng(su),
+                                              np.random.default_rng(sz))
     return X, d, truth
 
 
@@ -235,9 +235,9 @@ class TestIterations:
                                          duty_cycle=0.5, v_low=2e-3, v_high=2.0)
         params = ColoredProcessParams(rho=0.8, length=L)
         truth = make_ground_truth(L, 9)
-        X, d = generate_node_signals(profile, params, truth, 0.1, N,
-                                     np.random.default_rng(10),
-                                     np.random.default_rng(11))
+        X, d, _ = generate_node_signals(profile, params, truth, 0.1, N,
+                                        np.random.default_rng(10),
+                                        np.random.default_rng(11))
         state = init_state(L, 0.01)
         for n in range(N):
             rls_step(state, X[n], d[n], LAM)

@@ -1,4 +1,5 @@
 from pathlib import Path
+import tracemalloc
 import types
 
 import numpy as np
@@ -84,7 +85,7 @@ def independent_states_msd(comb, nv, profile, params, lam, delta, spec,
     for r in range(R):
         for k, node in enumerate(children[1 + r].spawn(K)):
             ss_u, ss_z = node.spawn(2)
-            X[:, r, k], d[:, r, k] = generate_node_signals(
+            X[:, r, k], d[:, r, k], _ = generate_node_signals(
                 profile, params, truth, sigma_z[k], N,
                 np.random.default_rng(ss_u), np.random.default_rng(ss_z))
     msd = {}
@@ -112,6 +113,38 @@ def load_spans():
     module = types.ModuleType("perfbench_spans")
     exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
     return module
+
+
+def run_with_bad_regressor(monkeypatch, bad_value, bad_iteration, block_iterations=None):
+    """3 runs x 20 iterations on 3 nodes, L=2, with the regressor of run 1,
+    node 0 at `bad_iteration` replaced by `bad_value` where the harness
+    receives it: in the result of its per-block generate_node_signals call."""
+    K, R, L = 3, 3, 2
+    if block_iterations is not None:
+        monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", block_iterations * R * K * L)
+    generate = drlsnet.harness.generate_node_signals
+    calls = []
+
+    def corrupted(*args):
+        # one call per node-run and block, (run, node) in order
+        X, d, carry = generate(*args)
+        block, node_run = divmod(len(calls), R * K)
+        first = 1 + block * (block_iterations or 0)  # iteration of X[0]
+        if node_run == 1 * K + 0 and first <= bad_iteration < first + len(X):
+            X[bad_iteration - first] = bad_value
+        calls.append(None)
+        return X, d, carry
+
+    monkeypatch.setattr(drlsnet.harness, "generate_node_signals", corrupted)
+    comb, nv = desk_network(K)
+    spec = EnsembleSpec(runs=R, iterations=20, master_seed=5)
+    with np.errstate(invalid="ignore"):
+        traj = run_ensemble(comb, nv, CONST, ColoredProcessParams(rho=0.5, length=L),
+                            0.995, 0.01, spec, include_theory=False,
+                            max_excluded_fraction=1.0)
+    blocks = 1 if block_iterations is None else -(-20 // block_iterations)
+    assert len(calls) == R * K * blocks
+    return traj
 
 
 class TestRunEnsemble:
@@ -152,6 +185,53 @@ class TestRunEnsemble:
         for algo in ("rls", "drls"):
             assert np.array_equal(a.msd_empirical[algo], b.msd_empirical[algo])
             assert np.array_equal(a.msd_empirical[algo], c.msd_empirical[algo])
+
+    @pytest.mark.parametrize("block_iterations", [1, 7, 400])
+    def test_signal_block_length_does_not_change_results(self, monkeypatch,
+                                                          block_iterations):
+        # curves, exclusions (with the iteration of their first trip),
+        # mean error and snapshots match one whole-run block exactly
+        comb, nv = desk_network(3)
+        params = ColoredProcessParams(rho=0.8, length=2)
+        spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
+
+        def run():
+            return run_ensemble(comb, nv, CyclostationaryProfile(kind="constant", level=0.003),
+                                params, 0.995, 0.01, spec, guard=440.0,
+                                include_theory=False, max_excluded_fraction=1.0,
+                                run_chunk=3, collect_mean_error=True, snapshot_every=50)
+
+        monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", 10 ** 9)
+        want = run()
+        # 3 runs x 3 nodes x 2 taps per iteration in each chunk
+        monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", block_iterations * 18)
+        got = run()
+        assert got.excluded_runs == want.excluded_runs
+        assert len(want.excluded_runs["drls"]) == 5
+        for algo in ("rls", "drls"):
+            assert np.array_equal(got.msd_empirical[algo], want.msd_empirical[algo])
+            assert got.snapshots[algo]["iteration"] == want.snapshots[algo]["iteration"]
+            assert np.array_equal(got.snapshots[algo]["weights"],
+                                  want.snapshots[algo]["weights"])
+        assert np.array_equal(got.mean_err_norm_empirical, want.mean_err_norm_empirical)
+
+    def test_signals_held_one_block_at_a_time(self, monkeypatch):
+        # a chunk must not hold its whole run's (N, B, K, L) signals: the
+        # traced peak stays well below that block (8.2 MB here)
+        K, L, R, N = 4, 8, 2, 16000
+        whole_run = N * R * K * L * 8
+        monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", 100 * R * K * L)
+        comb = identity_combiner(K)
+        spec = EnsembleSpec(runs=R, iterations=N, master_seed=3)
+        tracemalloc.start()
+        try:
+            run_ensemble(comb, np.full(K, 0.01), CONST,
+                         ColoredProcessParams(rho=0.8, length=L), 0.995, 0.01, spec,
+                         include_theory=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_run / 4
 
     def test_mean_error_is_drls_only(self):
         # the empirical mean error is DRLS's whatever else runs beside it,
@@ -210,24 +290,17 @@ class TestRunEnsemble:
     def test_non_finite_input_trips_guard(self, monkeypatch, bad_value):
         # a non-finite regressor at run 1, node 0, iteration 5 makes that
         # run's P non-finite; the trip check must catch NaN as well as inf
-        generate = drlsnet.harness.generate_node_signals
-        calls = []
-
-        def corrupted(*args):
-            X, d = generate(*args)
-            if len(calls) == 3:
-                X[4] = bad_value
-            calls.append(None)
-            return X, d
-
-        monkeypatch.setattr(drlsnet.harness, "generate_node_signals", corrupted)
-        comb, nv = desk_network(3)
-        spec = EnsembleSpec(runs=3, iterations=20, master_seed=5)
-        with np.errstate(invalid="ignore"):
-            traj = run_ensemble(comb, nv, CONST, ColoredProcessParams(rho=0.5, length=2),
-                                0.995, 0.01, spec, include_theory=False,
-                                max_excluded_fraction=1.0)
+        traj = run_with_bad_regressor(monkeypatch, bad_value, 5)
         assert traj.excluded_runs == {"rls": [(1, 5)], "drls": [(1, 5)]}
+        for algo in ("rls", "drls"):
+            assert np.isfinite(traj.msd_empirical[algo]).all()
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_after_first_block_trips_guard(self, monkeypatch, bad_value):
+        # in 4-iteration signal blocks, iteration 10 is row 1 of the third
+        # block; the trip is reported at that exact iteration
+        traj = run_with_bad_regressor(monkeypatch, bad_value, 10, block_iterations=4)
+        assert traj.excluded_runs == {"rls": [(1, 10)], "drls": [(1, 10)]}
         for algo in ("rls", "drls"):
             assert np.isfinite(traj.msd_empirical[algo]).all()
 
@@ -322,6 +395,32 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_theory_empirical(self._traj([1.0], None))
 
+    @pytest.mark.parametrize("transient, steady", [
+        ((0, 400), 100),    # would slice dev[-1:400], the last sample only
+        ((-5, 10), 100),
+        ((50, 401), 100),   # would be cut short at the curve's end
+        ((60, 50), 100),
+        ((50, 400), 401),
+        ((50, 400), 0),     # would slice dev[-0:], the whole curve
+    ])
+    def test_windows_outside_curve_rejected(self, transient, steady):
+        curve = np.geomspace(1.0, 1e-4, 400)
+        with pytest.raises(ValueError, match="outside iterations 1..400"):
+            compare_theory_empirical(self._traj(curve, curve),
+                                     transient_window=transient, steady_window=steady)
+
+    def test_windows_at_curve_bounds(self):
+        # one-sample windows at either end and whole-curve windows are valid
+        curve = np.geomspace(1.0, 1e-4, 400)
+        offset = curve * 10 ** (np.arange(400) / 4000)  # dB gap n/400 at iteration n+1
+        traj = self._traj(curve, offset)
+        first = compare_theory_empirical(traj, transient_window=(1, 1), steady_window=1)
+        assert first["transient_max_abs_db"] == pytest.approx(0.0, abs=1e-12)
+        assert first["steady_max_abs_db"] == pytest.approx(399 / 400)
+        whole = compare_theory_empirical(traj, transient_window=(1, 400), steady_window=400)
+        assert whole["transient_mean_abs_db"] == pytest.approx(399 / 800)
+        assert whole["steady_mean_abs_db"] == whole["transient_mean_abs_db"]
+
 
 class TestDetectPeriodicity:
     def test_pure_sinusoid(self):
@@ -370,3 +469,21 @@ def test_benchmark_tracer_records_both_filter_spans():
     assert metrics["harness.chunk_runs"] == 2
     assert metrics["harness.runs_attempted"] == 2
     assert metrics["filters.total_s"] > 0
+
+
+def test_benchmark_tracer_counts_every_signal_block(monkeypatch):
+    # perfbench/spans.py wraps harness.generate_node_signals by name and
+    # takes X and d from the first two items of its result: one span per
+    # node-run and block, and each computed byte counted once
+    spans = load_spans()
+    K, L, R, N = 3, 2, 2, 10
+    monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", 4 * R * K * L)
+    comb, nv = desk_network(K)
+    spec = EnsembleSpec(runs=R, iterations=N, master_seed=5)
+    with spans.Tracer().patch(drlsnet) as tracer:
+        drlsnet.harness.run_ensemble(comb, nv, CONST,
+                                     ColoredProcessParams(rho=0.5, length=L),
+                                     0.995, 0.01, spec, include_theory=False)
+    metrics = spans.layer_metrics(tracer.spans, 1, [[]])
+    assert metrics["signals.calls"] == 3 * R * K  # blocks of 4, 4 and 2 iterations
+    assert metrics["signals.bytes_computed"] == R * K * N * (L + 1) * 8

@@ -132,8 +132,8 @@ class TestColoredProcess:
         prof = CyclostationaryProfile(kind="constant", level=1.0)
         truth = make_ground_truth(2, 0)
         rng = np.random.default_rng(1)
-        X, _ = generate_node_signals(prof, params, truth, 0.0, 1_000_000,
-                                     rng, np.random.default_rng(2))
+        X, _, _ = generate_node_signals(prof, params, truth, 0.0, 1_000_000,
+                                        rng, np.random.default_rng(2))
         u = X[:, 0]
         assert u.var() == pytest.approx(1.0, rel=0.01)
         lag1 = np.mean(u[1:] * u[:-1])
@@ -194,9 +194,9 @@ class TestAutocorrelation:
         params = ColoredProcessParams(rho=0.8, length=4)
         prof = CyclostationaryProfile(kind="constant", level=1.0)
         truth = make_ground_truth(4, 0)
-        X, _ = generate_node_signals(prof, params, truth, 0.0, 1_000_000,
-                                     np.random.default_rng(7),
-                                     np.random.default_rng(8))
+        X, _, _ = generate_node_signals(prof, params, truth, 0.0, 1_000_000,
+                                        np.random.default_rng(7),
+                                        np.random.default_rng(8))
         sample_cov = X.T @ X / X.shape[0]
         R = colored_autocorrelation(params)
         assert np.abs(sample_cov - R).max() < 0.02
@@ -232,9 +232,9 @@ class TestInputCovariance:
         params = ColoredProcessParams(rho=0.8, length=3)
         truth = make_ground_truth(3, 0)
         N = 800_000
-        X, _ = generate_node_signals(PULSED, params, truth, 0.0, N,
-                                     np.random.default_rng(9),
-                                     np.random.default_rng(10))
+        X, _, _ = generate_node_signals(PULSED, params, truth, 0.0, N,
+                                        np.random.default_rng(9),
+                                        np.random.default_rng(10))
         phase = 2  # regressor at times n = 2 mod 4: taps straddle segments
         Xp = X[phase - 1::4]
         sample_cov = Xp.T @ Xp / Xp.shape[0]
@@ -290,12 +290,12 @@ def test_cross_node_independence():
     truth = make_ground_truth(1, 0)
     n = 100_000
     node_a, node_b = np.random.SeedSequence(123).spawn(2)
-    Xa, _ = generate_node_signals(prof, params, truth, 0.0, n,
-                                  np.random.default_rng(node_a),
-                                  np.random.default_rng(0))
-    Xb, _ = generate_node_signals(prof, params, truth, 0.0, n,
-                                  np.random.default_rng(node_b),
-                                  np.random.default_rng(1))
+    Xa, _, _ = generate_node_signals(prof, params, truth, 0.0, n,
+                                     np.random.default_rng(node_a),
+                                     np.random.default_rng(0))
+    Xb, _, _ = generate_node_signals(prof, params, truth, 0.0, n,
+                                     np.random.default_rng(node_b),
+                                     np.random.default_rng(1))
     corr = np.mean(Xa[:, 0] * Xb[:, 0])
     assert abs(corr) < 3 / math.sqrt(n)
 
@@ -304,9 +304,9 @@ def test_batch_generator_matches_stateful_path():
     params = ColoredProcessParams(rho=0.8, length=4)
     truth = make_ground_truth(4, 3)
     ss_u, ss_z = np.random.SeedSequence(9).spawn(2)
-    X, _ = generate_node_signals(PULSED, params, truth, 0.0, 50,
-                                 np.random.default_rng(ss_u),
-                                 np.random.default_rng(ss_z))
+    X, _, _ = generate_node_signals(PULSED, params, truth, 0.0, 50,
+                                    np.random.default_rng(ss_u),
+                                    np.random.default_rng(ss_z))
     rng = np.random.default_rng(ss_u)
     state = NodeSignalState(params, rng, start=1)
     xs = [emit_regressor(state, PULSED)]
@@ -314,3 +314,42 @@ def test_batch_generator_matches_stateful_path():
         step_colored(state, rng)
         xs.append(emit_regressor(state, PULSED))
     assert np.array_equal(X, np.array(xs))
+
+
+def generate_in_blocks(profile, params, truth, sigma_z, N, block, seeds):
+    """generate_node_signals over N iterations, `block` iterations per call."""
+    rng_u, rng_z = (np.random.default_rng(s) for s in seeds)
+    carry, Xs, ds = None, [], []
+    for n0 in range(0, N, block):
+        X, d, carry = generate_node_signals(profile, params, truth, sigma_z,
+                                            min(block, N - n0), rng_u, rng_z, carry)
+        Xs.append(X)
+        ds.append(d)
+    return np.concatenate(Xs), np.concatenate(ds), carry
+
+
+SHIFTED = CyclostationaryProfile(kind="pulsed", period=6, duty_cycle=0.4,
+                                 v_low=0.1, v_high=2.0, phase=3)
+WAVY = CyclostationaryProfile(kind="sinusoidal", period=7, level=1.0, mod_depth=0.5)
+N_GEN = 40
+
+
+@pytest.mark.parametrize("profile", [SHIFTED, WAVY], ids=["pulsed", "sinusoidal"])
+@pytest.mark.parametrize("L", [1, 2, 8, 32])
+@pytest.mark.parametrize("block", [1, 7, N_GEN - 1, N_GEN, N_GEN + 5])
+def test_blockwise_generation_is_bit_identical(profile, L, block):
+    # chained blocks reproduce the one-shot draws, filter state and
+    # desired responses exactly, whatever the block length
+    N = N_GEN
+    params = ColoredProcessParams(rho=0.8, length=L)
+    truth = make_ground_truth(L, 4)
+    want_X, want_d, want_carry = generate_node_signals(
+        profile, params, truth, 0.3, N, np.random.default_rng(1),
+        np.random.default_rng(2))
+    X, d, carry = generate_in_blocks(profile, params, truth, 0.3, N, block, (1, 2))
+    assert np.array_equal(X, want_X)
+    assert np.array_equal(d, want_d)
+    assert carry.next_time == want_carry.next_time == N + 1
+    assert np.array_equal(carry.tail, want_carry.tail)
+    assert carry.tail.shape == (L - 1,)
+    assert np.array_equal(carry.zf, want_carry.zf)

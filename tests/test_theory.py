@@ -76,9 +76,9 @@ class TestExpectedPhi:
         acc = np.zeros((2, 2))
         for r, ss in enumerate(np.random.SeedSequence(77).spawn(runs)):
             su, sz = ss.spawn(2)
-            X, _ = generate_node_signals(PULSED4, params, truth, 0.0, n_check,
-                                         np.random.default_rng(su),
-                                         np.random.default_rng(sz))
+            X, _, _ = generate_node_signals(PULSED4, params, truth, 0.0, n_check,
+                                            np.random.default_rng(su),
+                                            np.random.default_rng(sz))
             Phi = 0.01 * np.eye(2)
             for n in range(n_check):
                 Phi = LAM * Phi + np.outer(X[n], X[n])
