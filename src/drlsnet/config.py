@@ -167,8 +167,6 @@ class ExperimentConfig:
         for section, keys in self.values.items():
             out[section] = {}
             for key, val in keys.items():
-                if isinstance(val, np.ndarray):
-                    val = val.tolist()
                 if isinstance(val, list) and val and isinstance(val[0], tuple):
                     val = [list(t) for t in val]
                 out[section][key] = val

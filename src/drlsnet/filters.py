@@ -7,10 +7,13 @@ leading dimensions; the network simulator uses a leading (runs, K) batch.
 
 The inverse correlation recursion is kept apart from the estimate updates:
 `update_inverse_correlation` advances P and returns the gain g = P_n x_n,
-which the iterations take as an argument.  Only estimates are exchanged in
-the combine step, so node k's P depends on its own regressors, lam and
-delta alone, and RLS and DRLS run on the same data can share one P and
-its gain.
+which the iterations take as an argument; each iteration returns the
+updated estimate.  Only estimates are exchanged in the combine step, so
+node k's P depends on its own regressors, lam and delta alone, and RLS
+and DRLS run on the same data can share one P and its gain.  Nothing here
+checks lam or the node count per step: the config validates lam and
+delta once, and numpy rejects a batch whose node count differs from the
+state's or A's.
 
 The update needs one matrix-vector product: with Px = P_{n-1} x_n and
 denom = lam + x_n^T Px, the gain is Px / denom, which equals P_n x_n in
@@ -25,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .network import CombinationMatrix
 
 
 @dataclass
@@ -75,9 +76,9 @@ def adapt(state: NodeFilterState, x: np.ndarray, d: np.ndarray,
 
 def rls_iteration(state: NodeFilterState, x: np.ndarray, d: np.ndarray,
                   gain: np.ndarray) -> np.ndarray:
-    """Non-cooperative RLS: adapt and keep psi as the new weight estimate."""
-    e, state.w = adapt(state, x, d, gain)
-    return e
+    """Non-cooperative RLS: keep psi as the new weight estimate, and return it."""
+    _, state.w = adapt(state, x, d, gain)
+    return state.w
 
 
 @dataclass
@@ -85,27 +86,12 @@ class DrlsNetworkState:
     """All K node filters stacked on the trailing batch axis, plus A."""
 
     nodes: NodeFilterState      # batch shape (..., K)
-    combiner: CombinationMatrix
-    lam: float
-    delta: float
-
-    def __post_init__(self):
-        if not 0.9 <= self.lam < 1:
-            raise ValueError("forgetting factor must lie in [0.9, 1)")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+    A: np.ndarray               # (K, K) left-stochastic combination weights
 
 
-def init_network(L: int, K: int, combiner: CombinationMatrix, lam: float,
-                 delta: float, batch_shape: tuple[int, ...] = ()) -> DrlsNetworkState:
-    nodes = init_state(L, delta, batch_shape=batch_shape + (K,))
-    return DrlsNetworkState(nodes=nodes, combiner=combiner, lam=lam, delta=delta)
-
-
-def combine(network: DrlsNetworkState, psi: np.ndarray) -> np.ndarray:
+def combine(A: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """ATC combination: w_k = sum_l a_{lk} psi_l."""
-    network.nodes.w = np.matmul(network.combiner.A.T, psi)
-    return network.nodes.w
+    return np.matmul(A.T, psi)
 
 
 def drls_iteration(network: DrlsNetworkState, x: np.ndarray, d: np.ndarray,
@@ -113,11 +99,8 @@ def drls_iteration(network: DrlsNetworkState, x: np.ndarray, d: np.ndarray,
     """One ATC round: adapt every node on its own (x, d), then combine.
 
     x has shape (..., K, L), d shape (..., K) and gain the shape of x;
-    returns the per-node pre-adaptation errors.
+    returns the combined estimates, which become the nodes' w.
     """
-    K = network.combiner.A.shape[0]
-    if x.shape[-2] != K or d.shape[-1] != K:
-        raise ValueError(f"expected one sample per node (K={K})")
-    e, psi = adapt(network.nodes, x, d, gain)
-    combine(network, psi)
-    return e
+    _, psi = adapt(network.nodes, x, d, gain)
+    network.nodes.w = combine(network.A, psi)
+    return network.nodes.w

@@ -81,30 +81,33 @@ def _default_chunk(K: int, N: int, L: int) -> int:
 # regressor elements per signal block (8 MB): a chunk's signals are
 # generated this many elements at a time, into one reused buffer
 _SIGNAL_BLOCK = 1_000_000
+# runs simulated together; None sizes chunks with _default_chunk
+_RUN_CHUNK: int | None = None
+# the experiment fails when more than this share of runs is excluded
+_MAX_EXCLUDED_FRACTION = 0.01
 
 
 def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                  profile, params: ColoredProcessParams, lam: float,
                  delta: float, spec: EnsembleSpec, *, guard: float = 1e12,
                  include_theory: bool = True, collect_mean_error: bool = False,
-                 run_chunk: int | None = None, max_excluded_fraction: float = 0.01,
                  snapshot_every: int = 0) -> Trajectory:
     """Simulate the selected algorithms over R independent runs.
 
     Empirical MSD_n averages ||w_{k,n} - w_star||^2 over surviving runs
-    and nodes; w_star is drawn once and shared by all runs.  Runs whose
-    inverse correlation matrix trips the magnitude guard are excluded
-    entirely and reported; the experiment fails if more than
-    `max_excluded_fraction` of runs, or every run, are lost for any
-    algorithm.  With `collect_mean_error`, the DRLS ensemble mean of
-    w_{k,n} - w_star is kept too, as its norm per iteration (None when
-    DRLS is not selected).
+    and nodes; w_star is drawn once and shared by all runs.  The selected
+    algorithms share one inverse correlation recursion per run, so a run
+    whose P trips the magnitude guard is excluded for every algorithm at
+    once, and reported; the experiment fails if more than 1% of runs
+    (`_MAX_EXCLUDED_FRACTION`), or every run, are lost.  With
+    `collect_mean_error`, the DRLS ensemble mean of w_{k,n} - w_star is
+    kept too, as its norm per iteration (None when DRLS is not selected).
 
-    Runs are simulated `run_chunk` at a time (default `_default_chunk`),
-    and each chunk's signals are generated in time blocks of about
-    `_SIGNAL_BLOCK` regressor elements into one reused buffer, each
-    node-run carrying its generators and filter state across blocks.
-    Neither size changes any result.
+    Runs are simulated `_RUN_CHUNK` at a time (by default as many as
+    `_default_chunk` allows), and each chunk's signals are generated in
+    time blocks of about `_SIGNAL_BLOCK` regressor elements into one
+    reused buffer, each node-run carrying its generators and filter state
+    across blocks.  Neither size changes any result.
     """
     A = combiner.A
     K = A.shape[0]
@@ -117,8 +120,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     if len(profiles) != K:
         raise ValueError(f"expected {K} node profiles, got {len(profiles)}")
 
-    root = np.random.SeedSequence(spec.master_seed)
-    children = root.spawn(1 + R)
+    children = np.random.SeedSequence(spec.master_seed).spawn(1 + R)
     truth = make_ground_truth(L, children[0])
     sigma_z = np.sqrt(noise_variances)
 
@@ -127,7 +129,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     # the ensemble mean error is kept for DRLS only, the theory's counterpart
     keep_err = collect_mean_error and "drls" in algos
     err_sum = np.zeros((N, K, L)) if keep_err else None
-    excluded: dict[str, list[tuple[int, int]]] = {a: [] for a in algos}
+    excluded: list[tuple[int, int]] = []  # (run, iteration of its first trip)
     snapshots: dict[str, dict] = {}  # first run's per-node weights
 
     def simulate_chunk(run_ids: range) -> None:
@@ -161,14 +163,12 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         # the selected algorithms share one recursion and its gain
         P = init_state(L, delta, batch_shape=(B, K)).P
         work = np.empty_like(P)
-        states = {}
-        if "drls" in algos:
-            states["drls"] = DrlsNetworkState(NodeFilterState(np.zeros((B, K, L)), P),
-                                              combiner, lam, delta)
-        if "rls" in algos:
-            states["rls"] = NodeFilterState(np.zeros((B, K, L)), P)
-        bad = np.zeros(B, dtype=bool)
-        bad_at = np.full(B, -1, dtype=int)
+        # looked up per chunk, not bound at import, so that an iteration
+        # swapped by its name in this module is the one that runs
+        iterate = {"rls": rls_iteration, "drls": drls_iteration}
+        states = {"rls": NodeFilterState(np.zeros((B, K, L)), P),
+                  "drls": DrlsNetworkState(NodeFilterState(np.zeros((B, K, L)), P), A)}
+        bad_at = np.full(B, -1, dtype=int)  # iteration of a run's first trip
         dev_sq = {a: np.empty((B, N)) for a in algos}
         err_traj = np.empty((B, N, K, L)) if keep_err else None
 
@@ -176,23 +176,13 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
             j = n % nb
             if j == 0 and n:
                 next_block(n)
-            x_n = X[j]
-            d_n = d[j]
-            gain = update_inverse_correlation(P, x_n, lam, work)
+            gain = update_inverse_correlation(P, X[j], lam, work)
             # NaN and +-inf trip too: no comparison with NaN is true
             trip = ~(np.maximum(P.max(axis=(-3, -2, -1)),
                                 -P.min(axis=(-3, -2, -1))) <= guard)
-            new_bad = trip & ~bad
-            if new_bad.any():
-                bad_at[new_bad] = n + 1
-                bad |= new_bad
+            bad_at[trip & (bad_at < 0)] = n + 1
             for a in algos:
-                if a == "drls":
-                    drls_iteration(states[a], x_n, d_n, gain)
-                    w = states[a].nodes.w
-                else:
-                    rls_iteration(states[a], x_n, d_n, gain)
-                    w = states[a].w
+                w = iterate[a](states[a], X[j], d[j], gain)
                 dev = w - truth.w_star
                 dev_sq[a][:, n] = np.einsum("bki,bki->b", dev, dev)
                 if keep_err and a == "drls":
@@ -203,28 +193,27 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                     snap["weights"].append(np.array(w[0]))
 
         # fixed-order (run-order) reduction, independent of chunk size
-        for a in algos:
-            for b, r in enumerate(run_ids):
-                if bad[b]:
-                    excluded[a].append((r, int(bad_at[b])))
-                    continue
+        for b, r in enumerate(run_ids):
+            if bad_at[b] >= 0:
+                excluded.append((r, int(bad_at[b])))
+                continue
+            for a in algos:
                 dev_sq_sum[a] += dev_sq[a][b]
-                if keep_err and a == "drls":
-                    err_sum[:] += err_traj[b]
+            if keep_err:
+                err_sum[:] += err_traj[b]
 
-    chunk = run_chunk or _default_chunk(K, N, L)
+    chunk = _RUN_CHUNK or _default_chunk(K, N, L)
     for start in range(0, R if algos else 0, chunk):
         simulate_chunk(range(start, min(start + chunk, R)))
 
-    runs_effective = {a: R - len(excluded[a]) for a in algos}
-    for a in algos:
-        if len(excluded[a]) > max_excluded_fraction * R or runs_effective[a] == 0:
-            raise ExcludedRunThresholdError(
-                f"{a}: {len(excluded[a])} of {R} runs excluded (allowed: at most "
-                f"{max_excluded_fraction:.0%}, and not all); first: {excluded[a][:5]}")
+    runs_effective = R - len(excluded)
+    if len(excluded) > _MAX_EXCLUDED_FRACTION * R or runs_effective == 0:
+        raise ExcludedRunThresholdError(
+            f"{len(excluded)} of {R} runs excluded (allowed: at most "
+            f"{_MAX_EXCLUDED_FRACTION:.0%}, and not all); first: {excluded[:5]}")
 
-    msd_empirical = {a: dev_sq_sum[a] / (runs_effective[a] * K) for a in algos}
-    mean_err_norm_emp = (np.linalg.norm(err_sum / runs_effective["drls"], axis=(1, 2))
+    msd_empirical = {a: dev_sq_sum[a] / (runs_effective * K) for a in algos}
+    mean_err_norm_emp = (np.linalg.norm(err_sum / runs_effective, axis=(1, 2))
                          if keep_err else None)
 
     msd_theory = mean_err_norm_theory = None
@@ -239,8 +228,9 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         msd_empirical=msd_empirical, msd_theory=msd_theory,
         mean_err_norm_theory=mean_err_norm_theory,
         mean_err_norm_empirical=mean_err_norm_emp,
-        w_star=truth.w_star.copy(), snapshots=snapshots, excluded_runs=excluded,
-        runs_effective=runs_effective)
+        w_star=truth.w_star.copy(), snapshots=snapshots,
+        excluded_runs={a: list(excluded) for a in algos},
+        runs_effective={a: runs_effective for a in algos})
 
 
 def compare_theory_empirical(traj: Trajectory, *, algorithm: str = "drls",

@@ -117,13 +117,6 @@ def colored_autocorrelation(params: ColoredProcessParams) -> np.ndarray:
     return toeplitz(params.rho ** np.arange(params.length))
 
 
-def input_covariance(profile: CyclostationaryProfile,
-                     params: ColoredProcessParams, n: int) -> np.ndarray:
-    """R_x(n) = Sigma_x(n) R_u Sigma_x(n), Sigma_x(n) = diag(sigma_x(n-i))."""
-    s = sigma_at(profile, n - np.arange(params.length))
-    return colored_autocorrelation(params) * np.outer(s, s)
-
-
 class SignalCarry(NamedTuple):
     """What a node-run's next block of signals continues from."""
 

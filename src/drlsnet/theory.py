@@ -149,8 +149,8 @@ def theoretical_trajectory(profile,
     msd = np.empty(N)
     err_norm = np.empty(N)
     period = profiles[0].period
-    # R_x(n) = R_u * sigma_x(n-i) sigma_x(n-j) per node, as input_covariance
-    # computes it; sigma_x(n) depends on n only through n mod T
+    # R_x(n) = Sigma_x(n) R_u Sigma_x(n) per node, Sigma_x(n) = diag(sigma_x(n-i)),
+    # entrywise; sigma_x(n) depends on n only through n mod T
     R_u = colored_autocorrelation(params)
     sigma = np.stack([sigma_at(p, np.arange(period)) for p in profiles])
     lags = np.arange(L)

@@ -11,16 +11,18 @@ non-gating and lives in scripts/reproduce_full_scale.py.
 import numpy as np
 import pytest
 
-from drlsnet.filters import init_network, init_state, drls_iteration, rls_iteration, update_inverse_correlation
+from drlsnet.filters import (DrlsNetworkState, drls_iteration, init_state, rls_iteration,
+                             update_inverse_correlation)
 from drlsnet.harness import (EnsembleSpec, compare_theory_empirical,
                              detect_periodicity, run_ensemble, to_db)
-from drlsnet.network import (CombinationMatrix, build_combination_matrix,
-                             build_topology, draw_noise_variances)
+from drlsnet.network import (build_combination_matrix, build_topology,
+                             draw_noise_variances)
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
                              colored_autocorrelation, generate_node_signals,
-                             input_covariance, make_ground_truth, sigma_at)
+                             make_ground_truth, sigma_at)
 from drlsnet.theory import (expected_phi_step, initial_theory_state,
                             k_matrix_step, mean_error_step, transition_blocks)
+from oracles import input_covariance
 
 K, L, LAM, DELTA, RHO = 10, 8, 0.995, 0.01, 0.8
 MASTER_SEED = 42
@@ -172,8 +174,7 @@ class TestCriterion5OracleEquivalences:
             X[k], d[k], _ = generate_node_signals(prof, par, truth, 0.3, N,
                                                   np.random.default_rng(su),
                                                   np.random.default_rng(sz))
-        cm = CombinationMatrix(np.eye(Kd), adjacency=np.eye(Kd, dtype=bool))
-        net = init_network(Ld, Kd, cm, LAM, DELTA)
+        net = DrlsNetworkState(init_state(Ld, DELTA, (Kd,)), np.eye(Kd))
         solo = [init_state(Ld, DELTA) for _ in range(Kd)]
         net_work, solo_work = np.empty_like(net.nodes.P), np.empty((Ld, Ld))
         for n in range(N):

@@ -190,17 +190,21 @@ class TestMain:
          "columns must sum to 1"),
         ("network", {"combination_rows": "; ".join(["0.25, 0.25, 0.25, 0.25"] * 4)},
          "outside the neighborhood"),
+        # the filters do not re-check lam and delta, so the config is their only guard
+        ("algorithm", {"forgetting_factor": "1.0"}, "algorithm.forgetting_factor: must lie"),
+        ("algorithm", {"forgetting_factor": "0.89"}, "algorithm.forgetting_factor: must lie"),
+        ("algorithm", {"delta": "0"}, "algorithm.delta: must be positive"),
     ])
     def test_check_rejects_what_run_rejects(self, tmp_path, capsys, section,
                                             values, message):
         raw = {s: dict(kv) for s, kv in SMALL.items()}
-        raw[section].update(values)
+        raw.setdefault(section, {}).update(values)
         path = tmp_path / "c.ini"
         write_ini(path, raw)
-        assert main(["check", str(path)]) == EXIT_VALIDATION
-        assert message in capsys.readouterr().err
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
-        assert message in capsys.readouterr().err
+        for argv in (["check", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+            assert main(argv) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_file(self):

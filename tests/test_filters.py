@@ -3,17 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drlsnet.filters import (DrlsNetworkState, adapt, combine, drls_iteration,
-                             init_network, init_state, rls_iteration,
-                             update_inverse_correlation)
-from drlsnet.network import CombinationMatrix, build_combination_matrix, build_topology
+                             init_state, rls_iteration, update_inverse_correlation)
+from drlsnet.network import build_combination_matrix, build_topology
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
                              generate_node_signals, make_ground_truth)
 
 LAM = 0.995
-
-
-def identity_combiner(K):
-    return CombinationMatrix(np.eye(K), adjacency=np.eye(K, dtype=bool))
 
 
 def update(P, x, lam):
@@ -26,9 +21,9 @@ def rls_step(state, x, d, lam):
     return rls_iteration(state, x, d, update(state.P, x, lam))
 
 
-def drls_step(net, x, d):
+def drls_step(net, x, d, lam):
     """Standalone DRLS: advance the network's own P, then adapt and combine."""
-    return drls_iteration(net, x, d, update(net.nodes.P, x, net.lam))
+    return drls_iteration(net, x, d, update(net.nodes.P, x, lam))
 
 
 class TestInitState:
@@ -134,23 +129,26 @@ class TestAdapt:
 
 class TestCombine:
     def test_identity_keeps_psi(self):
-        net = init_network(2, K=3, combiner=identity_combiner(3), lam=LAM, delta=0.01)
-        w = combine(net, np.arange(6.0).reshape(3, 2))
+        w = combine(np.eye(3), np.arange(6.0).reshape(3, 2))
         assert np.array_equal(w, np.arange(6.0).reshape(3, 2))
 
     def test_consensus_fixed_point(self):
-        topo = build_topology("ring", 5)
-        net = init_network(3, K=5, combiner=build_combination_matrix(topo),
-                           lam=LAM, delta=0.01)
+        A = build_combination_matrix(build_topology("ring", 5)).A
         v = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(combine(net, np.tile(v, (5, 1))), np.tile(v, (5, 1)),
+        assert np.allclose(combine(A, np.tile(v, (5, 1))), np.tile(v, (5, 1)),
                            atol=1e-15)
 
     def test_two_node_average(self):
-        cm = CombinationMatrix(np.full((2, 2), 0.5), adjacency=np.ones((2, 2), bool))
-        net = init_network(2, K=2, combiner=cm, lam=LAM, delta=0.01)
         # psi_1 = e1, psi_2 = e2
-        assert np.allclose(combine(net, np.eye(2)), np.full((2, 2), 0.5))
+        assert np.allclose(combine(np.full((2, 2), 0.5), np.eye(2)), np.full((2, 2), 0.5))
+
+    def test_left_stochastic_weights_combine_by_column(self):
+        # w_k = sum_l a_{lk} psi_l: node k reads column k of A, and psi is
+        # left as it was
+        A = np.array([[1.0, 0.25], [0.0, 0.75]])
+        psi = np.array([[4.0], [8.0]])
+        assert np.array_equal(combine(A, psi), np.array([[4.0], [7.0]]))
+        assert np.array_equal(psi, np.array([[4.0], [8.0]]))
 
 
 def make_node_data(K, L, N, sigma_z, seed, period=1, kind="constant"):
@@ -173,10 +171,10 @@ class TestIterations:
     def test_identity_network_equals_independent_rls(self):
         K, L, N = 4, 3, 1000
         X, d, _ = make_node_data(K, L, N, 0.1, seed=5)
-        net = init_network(L, K, identity_combiner(K), LAM, 0.01)
+        net = DrlsNetworkState(init_state(L, 0.01, (K,)), np.eye(K))
         rls_states = [init_state(L, 0.01) for _ in range(K)]
         for n in range(N):
-            drls_step(net, X[:, n, :], d[:, n])
+            drls_step(net, X[:, n, :], d[:, n], LAM)
             for k in range(K):
                 rls_step(rls_states[k], X[k, n], d[k, n], LAM)
         for k in range(K):
@@ -186,13 +184,23 @@ class TestIterations:
         K, L, N = 5, 8, 1000
         X, d, truth = make_node_data(K, L, N, 0.0, seed=6)
         topo = build_topology("ring", K)
-        net = init_network(L, K, build_combination_matrix(topo), 0.95, 0.01)
+        net = DrlsNetworkState(init_state(L, 0.01, (K,)), build_combination_matrix(topo).A)
         for n in range(N):
-            drls_step(net, X[:, n, :], d[:, n])
+            drls_step(net, X[:, n, :], d[:, n], 0.95)
         assert np.linalg.norm(net.nodes.w - truth.w_star, axis=1).max() < 1e-6
 
+    def test_iterations_return_the_updated_estimate(self):
+        X, d, _ = make_node_data(3, 2, 5, 0.1, seed=4)
+        A = build_combination_matrix(build_topology("ring", 3)).A
+        net = DrlsNetworkState(init_state(2, 0.01, (3,)), A)
+        solo = init_state(2, 0.01, batch_shape=(3,))
+        for n in range(5):
+            w = drls_step(net, X[:, n, :], d[:, n], LAM)
+            assert w is net.nodes.w and w.shape == (3, 2)
+            assert rls_step(solo, X[:, n, :], d[:, n], LAM) is solo.w
+
     def test_sample_count_must_match(self):
-        net = init_network(2, K=3, combiner=identity_combiner(3), lam=LAM, delta=0.01)
+        net = DrlsNetworkState(init_state(2, 0.01, (3,)), np.eye(3))
         with pytest.raises(ValueError):
             drls_iteration(net, np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)))
 
@@ -217,11 +225,11 @@ class TestIterations:
         K, L, N = 10, 4, 2500
         X, d, truth = make_node_data(K, L, N, np.sqrt(0.05), seed=8)
         topo = build_topology("random_geometric", K, radius=0.45, seed=7)
-        net = init_network(L, K, build_combination_matrix(topo), LAM, 0.01)
+        net = DrlsNetworkState(init_state(L, 0.01, (K,)), build_combination_matrix(topo).A)
         solo = init_state(L, 0.01, batch_shape=(K,))
         msd_net = msd_solo = 0.0
         for n in range(N):
-            drls_step(net, X[:, n, :], d[:, n])
+            drls_step(net, X[:, n, :], d[:, n], LAM)
             rls_step(solo, X[:, n, :], d[:, n], LAM)
             if n >= N - 500:
                 msd_net += np.sum((net.nodes.w - truth.w_star) ** 2)
@@ -246,8 +254,3 @@ class TestIterations:
                 assert np.linalg.eigvalsh(state.P).min() > 0
         assert np.isfinite(state.P).all()
 
-
-def test_lambda_range_enforced():
-    with pytest.raises(ValueError):
-        DrlsNetworkState(nodes=init_state(2, 0.01, (2,)),
-                         combiner=identity_combiner(2), lam=0.5, delta=0.01)

@@ -136,12 +136,12 @@ def run_with_bad_regressor(monkeypatch, bad_value, bad_iteration, block_iteratio
         return X, d, carry
 
     monkeypatch.setattr(drlsnet.harness, "generate_node_signals", corrupted)
+    monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
     comb, nv = desk_network(K)
     spec = EnsembleSpec(runs=R, iterations=20, master_seed=5)
     with np.errstate(invalid="ignore"):
         traj = run_ensemble(comb, nv, CONST, ColoredProcessParams(rho=0.5, length=L),
-                            0.995, 0.01, spec, include_theory=False,
-                            max_excluded_fraction=1.0)
+                            0.995, 0.01, spec, include_theory=False)
     blocks = 1 if block_iterations is None else -(-20 // block_iterations)
     assert len(calls) == R * K * blocks
     return traj
@@ -173,15 +173,16 @@ class TestRunEnsemble:
             assert np.array_equal(a.msd_empirical[algo], b.msd_empirical[algo])
         assert np.array_equal(a.msd_theory, b.msd_theory)
 
-    def test_chunk_size_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
         comb, nv = desk_network(4)
         spec = EnsembleSpec(runs=7, iterations=80, master_seed=13)
-        kwargs = dict(profile=CONST,
-                      params=ColoredProcessParams(rho=0.8, length=3),
-                      lam=0.995, delta=0.01, spec=spec, include_theory=False)
-        a = run_ensemble(comb, nv, run_chunk=1, **kwargs)
-        b = run_ensemble(comb, nv, run_chunk=7, **kwargs)
-        c = run_ensemble(comb, nv, run_chunk=3, **kwargs)
+
+        def run(chunk):
+            monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", chunk)
+            return run_ensemble(comb, nv, CONST, ColoredProcessParams(rho=0.8, length=3),
+                                0.995, 0.01, spec, include_theory=False)
+
+        a, b, c = run(1), run(7), run(3)
         for algo in ("rls", "drls"):
             assert np.array_equal(a.msd_empirical[algo], b.msd_empirical[algo])
             assert np.array_equal(a.msd_empirical[algo], c.msd_empirical[algo])
@@ -198,9 +199,11 @@ class TestRunEnsemble:
         def run():
             return run_ensemble(comb, nv, CyclostationaryProfile(kind="constant", level=0.003),
                                 params, 0.995, 0.01, spec, guard=440.0,
-                                include_theory=False, max_excluded_fraction=1.0,
-                                run_chunk=3, collect_mean_error=True, snapshot_every=50)
+                                include_theory=False, collect_mean_error=True,
+                                snapshot_every=50)
 
+        monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
+        monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 3)
         monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", 10 ** 9)
         want = run()
         # 3 runs x 3 nodes x 2 taps per iteration in each chunk
@@ -233,23 +236,24 @@ class TestRunEnsemble:
             tracemalloc.stop()
         assert peak < whole_run / 4
 
-    def test_mean_error_is_drls_only(self):
+    def test_mean_error_is_drls_only(self, monkeypatch):
         # the empirical mean error is DRLS's whatever else runs beside it,
         # independent of chunking, and absent when DRLS does not run
         comb, nv = desk_network(4)
 
-        def mean_error(algorithms, **kwargs):
+        def mean_error(algorithms):
             spec = EnsembleSpec(runs=5, iterations=60, master_seed=17,
                                 algorithms=algorithms)
             return run_ensemble(comb, nv, CONST, ColoredProcessParams(rho=0.8, length=3),
                                 0.995, 0.01, spec, include_theory=False,
-                                collect_mean_error=True, **kwargs).mean_err_norm_empirical
+                                collect_mean_error=True).mean_err_norm_empirical
 
         drls = mean_error(("drls",))
         assert drls.shape == (60,) and np.isfinite(drls).all()
         assert np.array_equal(mean_error(("rls", "drls")), drls)
-        assert np.array_equal(mean_error(("drls",), run_chunk=2), drls)
         assert mean_error(("rls",)) is None
+        monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 2)
+        assert np.array_equal(mean_error(("drls",)), drls)
 
     def test_initial_msd_anchor(self):
         # w_0 = 0 and ||w_star||^2 = 1: MSD at n=0 is 0 dB by construction
@@ -270,21 +274,33 @@ class TestRunEnsemble:
                          ColoredProcessParams(rho=0.0, length=2),
                          0.995, 0.01, spec, guard=1e-6, include_theory=False)
 
-    def test_mid_run_guard_trips_pinned(self):
+    def test_mid_run_guard_trips_pinned(self, monkeypatch):
         # faint input lets P grow for a few hundred steps; 5 of 8 runs pass
         # the guard between iterations 389 and 400, each algorithm loses
         # the same runs, and the survivors' curves stay finite
+        monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
+        monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 3)
         comb, nv = desk_network(3)
         spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
         traj = run_ensemble(comb, nv, CyclostationaryProfile(kind="constant", level=0.003),
                             ColoredProcessParams(rho=0.8, length=2), 0.995, 0.01,
-                            spec, guard=440.0, include_theory=False,
-                            max_excluded_fraction=1.0, run_chunk=3)
+                            spec, guard=440.0, include_theory=False)
         pinned = [(1, 394), (2, 389), (3, 389), (4, 400), (7, 397)]
         assert traj.excluded_runs == {"rls": pinned, "drls": pinned}
         assert traj.runs_effective == {"rls": 3, "drls": 3}
         for algo in ("rls", "drls"):
             assert np.isfinite(traj.msd_empirical[algo]).all()
+
+    def test_more_than_one_percent_excluded_is_an_error(self):
+        # the pinned case above at the fixed limit: 5 of 8 runs lost fails
+        # the experiment, though some runs survive
+        comb, nv = desk_network(3)
+        spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
+        with pytest.raises(ExcludedRunThresholdError,
+                           match=r"5 of 8 runs excluded \(allowed: at most 1%"):
+            run_ensemble(comb, nv, CyclostationaryProfile(kind="constant", level=0.003),
+                         ColoredProcessParams(rho=0.8, length=2), 0.995, 0.01,
+                         spec, guard=440.0, include_theory=False)
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_trips_guard(self, monkeypatch, bad_value):
@@ -305,7 +321,8 @@ class TestRunEnsemble:
             assert np.isfinite(traj.msd_empirical[algo]).all()
 
     @pytest.mark.parametrize("algorithms", [("rls", "drls"), ("rls",), ("drls",)])
-    def test_shared_recursion_matches_independent_states(self, algorithms):
+    def test_shared_recursion_matches_independent_states(self, monkeypatch, algorithms):
+        monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 2)
         comb, nv = desk_network(4)
         profile = CyclostationaryProfile(kind="pulsed", period=8, duty_cycle=0.5,
                                          v_low=2e-3, v_high=2.0)
@@ -313,23 +330,24 @@ class TestRunEnsemble:
         spec = EnsembleSpec(runs=5, iterations=150, master_seed=17,
                             algorithms=algorithms)
         traj = run_ensemble(comb, nv, profile, params, 0.995, 0.01, spec,
-                            include_theory=False, run_chunk=2)
+                            include_theory=False)
         want = independent_states_msd(comb, nv, profile, params, 0.995, 0.01, spec)
         assert traj.msd_empirical.keys() == want.keys()
         for algo in algorithms:
             assert np.array_equal(traj.msd_empirical[algo], want[algo])
 
-    def test_blas_step_pinned_to_einsum_oracle(self):
+    def test_blas_step_pinned_to_einsum_oracle(self, monkeypatch):
         # the einsum oracle (symmetrized update, einsum gain and combine)
         # rounds differently from the package; over a long pulsed run with
         # faint segments the curves agree to 1e-10 relative at every iteration
+        monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 3)
         comb, nv = line_network(4)
         profile = CyclostationaryProfile(kind="pulsed", period=32, duty_cycle=0.5,
                                          v_low=2e-3, v_high=2.0)
         params = ColoredProcessParams(rho=0.8, length=3)
         spec = EnsembleSpec(runs=4, iterations=2500, master_seed=23)
         traj = run_ensemble(comb, nv, profile, params, 0.995, 0.01, spec,
-                            include_theory=False, run_chunk=3)
+                            include_theory=False)
         want = independent_states_msd(comb, nv, profile, params, 0.995, 0.01, spec,
                                       step=einsum_step, mix=einsum_combine)
         assert traj.msd_empirical.keys() == want.keys() == {"rls", "drls"}
@@ -337,16 +355,16 @@ class TestRunEnsemble:
             rel = np.abs(traj.msd_empirical[algo] - want[algo]) / want[algo]
             assert rel.max() <= 1e-10
 
-    def test_every_run_excluded_is_an_error(self):
+    def test_every_run_excluded_is_an_error(self, monkeypatch):
         # with no surviving run there is nothing to average, whatever the
         # allowed fraction
+        monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
         comb, nv = desk_network(3)
         spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
         with pytest.raises(ExcludedRunThresholdError, match="8 of 8 runs excluded"):
             run_ensemble(comb, nv, CyclostationaryProfile(kind="constant", level=0.003),
                          ColoredProcessParams(rho=0.8, length=2), 0.995, 0.01,
-                         spec, guard=200.0, include_theory=False,
-                         max_excluded_fraction=1.0)
+                         spec, guard=200.0, include_theory=False)
 
     def test_theory_only(self):
         comb, nv = desk_network(3)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
                              GroundTruth, colored_autocorrelation,
-                             generate_node_signals, input_covariance,
-                             make_ground_truth, sigma_at)
+                             generate_node_signals, make_ground_truth, sigma_at)
+from oracles import input_covariance
 
 PULSED = CyclostationaryProfile(kind="pulsed", period=4, duty_cycle=0.5,
                                 v_low=2e-3, v_high=2.0)

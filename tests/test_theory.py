@@ -5,15 +5,14 @@ import pytest
 
 from drlsnet import theory
 from drlsnet.config import parse_config
-from drlsnet.filters import init_state, rls_iteration
 from drlsnet.network import build_combination_matrix, build_topology
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
-                             generate_node_signals, input_covariance,
-                             make_ground_truth)
+                             generate_node_signals, make_ground_truth)
 from drlsnet.theory import (TheoryError, TheoryTrajectory, expected_phi_step,
                             initial_theory_state, k_matrix_step,
                             mean_error_step, network_msd,
                             theoretical_trajectory, transition_blocks)
+from oracles import input_covariance
 
 LAM = 0.995
 PULSED4 = CyclostationaryProfile(kind="pulsed", period=4, duty_cycle=0.5,
