@@ -93,7 +93,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, *,
     report = _deviation_report(traj)
     metadata = {
         "version": __version__,
-        "resolved_config": cfg.resolved_dict(),
+        "resolved_config": cfg.values,
         "resolved_config_text": config_to_text(cfg),
         "master_seed": traj.master_seed,
         "runtime_s": runtime,

@@ -1,9 +1,11 @@
 """Experiment configuration: sectioned key/value files with strict schema.
 
 Every key has a documented default; unknown sections or keys are rejected
-outright so typos cannot silently change an experiment.  The fully
-resolved configuration (defaults expanded) is echoed into every output so
-runs are exactly replayable.
+outright so typos cannot silently change an experiment.  A config is
+validated by building the objects `run` builds from it, so each input
+rule lives in the constructor that needs it.  The fully resolved
+configuration (defaults expanded) is echoed into every output so runs
+are exactly replayable.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harness import ALGORITHMS, EnsembleSpec
-from .network import (CombinationMatrix, Topology, build_combination_matrix,
-                      build_topology, draw_noise_variances)
+from .harness import EnsembleSpec
+from .network import (CombinationMatrix, build_combination_matrix, build_topology,
+                      draw_noise_variances)
 from .signals import ColoredProcessParams, CyclostationaryProfile
 
 
@@ -110,15 +112,10 @@ class ExperimentConfig:
 
     # -- builders -----------------------------------------------------
 
-    def build_topology(self) -> Topology:
-        net = self.values["network"]
-        return build_topology(net["topology"], net["nodes"],
-                              radius=net["radius"], seed=net["topology_seed"],
-                              edges=net["edges"])
-
     def build_combiner(self) -> CombinationMatrix:
         net = self.values["network"]
-        topo = self.build_topology()
+        topo = build_topology(net["topology"], net["nodes"], radius=net["radius"],
+                              seed=net["topology_seed"], edges=net["edges"])
         if net["combination_rows"] is not None:
             A = np.asarray(net["combination_rows"], dtype=float)
             if A.shape != (net["nodes"], net["nodes"]):
@@ -130,7 +127,12 @@ class ExperimentConfig:
     def noise_variances(self) -> np.ndarray:
         net = self.values["network"]
         if net["noise_variances"] is not None:
-            return np.asarray(net["noise_variances"], dtype=float)
+            v = np.asarray(net["noise_variances"], dtype=float)
+            if v.shape != (net["nodes"],):
+                raise ConfigError("network.noise_variances: need one variance per node")
+            if (v <= 0).any():
+                raise ConfigError("network.noise_variances: all entries must be positive")
+            return v
         return draw_noise_variances(net["nodes"], net["noise_low"],
                                     net["noise_high"], net["noise_seed"])
 
@@ -161,28 +163,16 @@ class ExperimentConfig:
                             master_seed=ens["master_seed"],
                             algorithms=tuple(self.values["algorithm"]["algorithms"]))
 
-    def resolved_dict(self) -> dict:
-        """JSON-serializable echo of every resolved field."""
-        out = {}
-        for section, keys in self.values.items():
-            out[section] = {}
-            for key, val in keys.items():
-                if isinstance(val, list) and val and isinstance(val[0], tuple):
-                    val = [list(t) for t in val]
-                out[section][key] = val
-        return out
-
 
 def _validate(cfg: ExperimentConfig) -> None:
-    net, sig = cfg.values["network"], cfg.values["signal"]
-    alg, ens = cfg.values["algorithm"], cfg.values["ensemble"]
+    alg = cfg.values["algorithm"]
 
     def fail(path, msg):
         raise ConfigError(f"{path}: {msg}")
 
     def build(path, make):
-        # run builds these objects too; building them here makes check reject
-        # exactly what run rejects (disconnected graphs, bad phases, A)
+        # validation builds what run builds, with the rules of the builder
+        # or constructor, so check rejects exactly what run rejects
         try:
             make()
         except ConfigError:
@@ -190,41 +180,20 @@ def _validate(cfg: ExperimentConfig) -> None:
         except ValueError as exc:
             fail(path, str(exc))
 
-    if net["nodes"] < 2:
-        fail("network.nodes", "must be >= 2")
-    if net["topology"] not in ("ring", "random_geometric", "explicit"):
-        fail("network.topology", f"unknown kind {net['topology']!r}")
-    if net["combination"] not in ("uniform", "metropolis"):
-        fail("network.combination", f"unknown rule {net['combination']!r}")
-    if net["noise_variances"] is not None:
-        if len(net["noise_variances"]) != net["nodes"]:
-            fail("network.noise_variances", "need one variance per node")
-        if any(v <= 0 for v in net["noise_variances"]):
-            fail("network.noise_variances", "all entries must be positive")
-    if not 0 < net["noise_low"] <= net["noise_high"]:
-        fail("network.noise_low", "need 0 < noise_low <= noise_high")
     build("network", cfg.build_combiner)
-
-    if sig["taps"] < 1:
-        fail("signal.taps", "must be >= 1")
-    if not 0 <= sig["rho"] < 1:
-        fail("signal.rho", "must lie in [0, 1)")
+    build("network", cfg.noise_variances)
     build("signal", cfg.build_profiles)
+    build("signal", cfg.process_params)
+    build("ensemble", cfg.ensemble_spec)
 
+    # no object owns these: lam and delta enter the recursions unchecked,
+    # the guard and the snapshot stride are read by the harness loop alone
     if not 0.9 <= alg["forgetting_factor"] < 1:
         fail("algorithm.forgetting_factor", "must lie in [0.9, 1)")
     if alg["delta"] <= 0:
         fail("algorithm.delta", "must be positive")
     if alg["guard"] <= 0:
         fail("algorithm.guard", "must be positive")
-    for a in alg["algorithms"]:
-        if a not in ALGORITHMS:
-            fail("algorithm.algorithms", f"unknown algorithm {a!r}")
-
-    if ens["runs"] < 1:
-        fail("ensemble.runs", "must be >= 1")
-    if ens["iterations"] < 1:
-        fail("ensemble.iterations", "must be >= 1")
     if cfg.values["output"]["snapshot_every"] < 0:
         fail("output.snapshot_every", "must be >= 0")
 

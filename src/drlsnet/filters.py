@@ -39,9 +39,7 @@ class NodeFilterState:
 
 
 def init_state(L: int, delta: float, batch_shape: tuple[int, ...] = ()) -> NodeFilterState:
-    """w = 0, P = delta^-1 * I; delta must be positive."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    """w = 0, P = delta^-1 * I; the config checks that delta is positive."""
     w = np.zeros(batch_shape + (L,))
     P = np.broadcast_to(np.eye(L) / delta, batch_shape + (L, L)).copy()
     return NodeFilterState(w=w, P=P)

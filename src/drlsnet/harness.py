@@ -139,18 +139,15 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         nb = min(N, max(1, _SIGNAL_BLOCK // (B * K * L)))
         X = np.empty((nb, B, K, L))  # time-major, so X[j] is contiguous
         d = np.empty((nb, B, K))
-        # the first block; when later blocks follow, each node-run keeps
-        # its node, its columns of the block, its two generators and the
-        # carry its next block continues from
+        # each node-run keeps its node, its columns of the block, its two
+        # generators and the carry its next block continues from (None
+        # before its first block)
         streams = []
         for b, r in enumerate(run_ids):
             for k, node in enumerate(children[1 + r].spawn(K)):
                 ss_u, ss_z = node.spawn(2)
-                rng_u, rng_z = np.random.default_rng(ss_u), np.random.default_rng(ss_z)
-                X[:, b, k], d[:, b, k], carry = generate_node_signals(
-                    profiles[k], params, truth, sigma_z[k], nb, rng_u, rng_z)
-                if nb < N:
-                    streams.append([k, X[:, b, k], d[:, b, k], rng_u, rng_z, carry])
+                streams.append([k, X[:, b, k], d[:, b, k], np.random.default_rng(ss_u),
+                                np.random.default_rng(ss_z), None])
 
         def next_block(n0: int) -> None:
             size = min(nb, N - n0)
@@ -174,7 +171,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
 
         for n in range(N):
             j = n % nb
-            if j == 0 and n:
+            if j == 0:
                 next_block(n)
             gain = update_inverse_correlation(P, X[j], lam, work)
             # NaN and +-inf trip too: no comparison with NaN is true

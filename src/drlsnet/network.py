@@ -7,10 +7,10 @@ holds the weights node k applies to its neighbors' intermediate estimates.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 STOCHASTIC_TOL = 1e-12
 
@@ -35,9 +35,9 @@ class Topology:
             raise TopologyError("adjacency must be symmetric")
         if not adj.diagonal().all():
             raise TopologyError("every node must be its own neighbor")
-        component = _reachable_from(adj, 0)
-        if not component.all():
-            outside = np.flatnonzero(~component).tolist()
+        _, labels = connected_components(adj, directed=False)
+        outside = np.flatnonzero(labels != labels[0]).tolist()
+        if outside:
             raise TopologyError(f"graph is disconnected; nodes unreachable from 0: {outside}")
         object.__setattr__(self, "adjacency", adj)
         self.adjacency.setflags(write=False)
@@ -51,19 +51,6 @@ class Topology:
         return self.adjacency.sum(axis=1)
 
 
-def _reachable_from(adj: np.ndarray, start: int) -> np.ndarray:
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[start] = True
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in np.flatnonzero(adj[v]):
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return seen
-
-
 def build_topology(kind: str, K: int, *, radius: float | None = None,
                    seed: int | None = None,
                    edges: list[tuple[int, int]] | None = None) -> Topology:
@@ -75,8 +62,6 @@ def build_topology(kind: str, K: int, *, radius: float | None = None,
         when within `radius`; requires `radius` and `seed`
       - "explicit": user-supplied undirected `edges`
     """
-    if K < 2:
-        raise TopologyError(f"K must be >= 2, got {K}")
     adj = np.eye(K, dtype=bool)
     if kind == "ring":
         k = np.arange(K)
@@ -145,8 +130,9 @@ def build_combination_matrix(topo: Topology, rule: str = "uniform") -> Combinati
     return CombinationMatrix(A, adjacency=adj)
 
 
-def draw_noise_variances(K: int, low: float, high: float, seed: int) -> np.ndarray:
-    """Per-node observation-noise variances drawn uniformly from [low, high]."""
-    if not (0 < low <= high):
-        raise ValueError("need 0 < low <= high")
-    return np.random.default_rng(seed).uniform(low, high, size=K)
+def draw_noise_variances(K: int, noise_low: float, noise_high: float,
+                         seed: int) -> np.ndarray:
+    """Per-node observation-noise variances drawn uniformly from [noise_low, noise_high]."""
+    if not (0 < noise_low <= noise_high):
+        raise ValueError("need 0 < noise_low <= noise_high")
+    return np.random.default_rng(seed).uniform(noise_low, noise_high, size=K)

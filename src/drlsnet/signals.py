@@ -27,7 +27,7 @@ class CyclostationaryProfile:
       - "constant": sigma_x(n) = level
       - "pulsed": v_high for the first ceil(duty_cycle*T) samples of each
         period (shifted by `phase`), v_low for the rest
-      - "sinusoidal": level * (1 + mod_depth * sin(2*pi*n/T))
+      - "sinusoidal": level * (1 + mod_depth * sin(2*pi*(n - phase)/T))
     """
 
     kind: str = "constant"
@@ -71,7 +71,8 @@ def sigma_at(profile: CyclostationaryProfile, n) -> np.ndarray | float:
         out = np.where(high, profile.v_high, profile.v_low)
     else:
         out = profile.level * (1.0 + profile.mod_depth
-                               * np.sin(2.0 * np.pi * (n % profile.period) / profile.period))
+                               * np.sin(2.0 * np.pi * ((n - profile.phase) % profile.period)
+                                        / profile.period))
     return out if out.ndim else float(out)
 
 
@@ -86,7 +87,7 @@ class ColoredProcessParams:
         if not 0 <= self.rho < 1:
             raise ValueError("rho must lie in [0, 1)")
         if self.length < 1:
-            raise ValueError("filter length must be >= 1")
+            raise ValueError("taps (filter length L) must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,6 @@ class GroundTruth:
 
 def make_ground_truth(L: int, seed) -> GroundTruth:
     """Standard-normal entries damped by 0.5**i, normalized to unit ||.||^2."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(L) * 0.5 ** np.arange(L)
     return GroundTruth(w / np.linalg.norm(w))

@@ -178,7 +178,7 @@ class TestMain:
         path = tmp_path / "c.ini"
         write_ini(path, {"signal": {"rho": "1.5"}})
         assert main(["check", str(path)]) == EXIT_VALIDATION
-        assert "signal.rho" in capsys.readouterr().err
+        assert "signal: rho must lie in [0, 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, values, message", [
         ("network", {"topology": "random_geometric", "radius": "0.05"}, "disconnected"),
@@ -194,6 +194,23 @@ class TestMain:
         ("algorithm", {"forgetting_factor": "1.0"}, "algorithm.forgetting_factor: must lie"),
         ("algorithm", {"forgetting_factor": "0.89"}, "algorithm.forgetting_factor: must lie"),
         ("algorithm", {"delta": "0"}, "algorithm.delta: must be positive"),
+        ("algorithm", {"guard": "0"}, "algorithm.guard: must be positive"),
+        ("output", {"snapshot_every": "-1"}, "output.snapshot_every: must be >= 0"),
+        # the rules below live in the objects run builds from the config
+        ("network", {"nodes": "1"}, "network: need at least 2 nodes"),
+        ("network", {"topology": "star"}, "network: unknown topology kind 'star'"),
+        ("network", {"combination": "max"}, "network: unknown combination rule 'max'"),
+        ("network", {"noise_low": "0.2", "noise_high": "0.1"},
+         "network: need 0 < noise_low <= noise_high"),
+        ("network", {"noise_variances": "0.1, 0, 0.1, 0.1"},
+         "network.noise_variances: all entries must be positive"),
+        ("signal", {"taps": "0"}, "signal: taps (filter length L) must be >= 1"),
+        ("signal", {"rho": "1.0"}, "signal: rho must lie in [0, 1)"),
+        ("signal", {"period": "0"}, "signal: period must be a positive integer"),
+        # the algorithm list is built into the ensemble spec, so reported under it
+        ("algorithm", {"algorithms": "rls, lms"}, "ensemble: unknown algorithms: ['lms']"),
+        ("ensemble", {"runs": "0"}, "ensemble: runs and iterations must be >= 1"),
+        ("ensemble", {"iterations": "0"}, "ensemble: runs and iterations must be >= 1"),
     ])
     def test_check_rejects_what_run_rejects(self, tmp_path, capsys, section,
                                             values, message):
@@ -206,6 +223,14 @@ class TestMain:
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_keys_unread_with_explicit_values_are_not_checked(self, tmp_path):
+        # explicit variances and weights are used as given, so nothing
+        # reads noise_low or combination
+        path = tmp_path / "c.ini"
+        write_ini(path, {**EXPLICIT, "network": {**EXPLICIT["network"], "noise_low": "-1",
+                                                 "combination": "max"}})
+        assert main(["check", str(path)]) == EXIT_OK
 
     def test_missing_file(self):
         assert main(["check", "/nonexistent/nope.ini"]) == EXIT_VALIDATION

@@ -39,10 +39,6 @@ class TestInitState:
         e, _ = adapt(state, x, d, update(state.P, x, LAM))
         assert e == pytest.approx(4.2)
 
-    def test_nonpositive_delta_rejected(self):
-        with pytest.raises(ValueError):
-            init_state(2, delta=0.0)
-
 
 class TestInverseCorrelationUpdate:
     def test_zero_regressor(self):

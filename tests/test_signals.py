@@ -104,6 +104,14 @@ class TestSigmaAt:
         assert sigma_at(shifted, 1) == 2.0
         assert sigma_at(shifted, 0) == 0.002
 
+    @pytest.mark.parametrize("phase", [1, 3, -2])
+    def test_sinusoidal_phase_shifts_the_profile(self, phase):
+        kw = dict(kind="sinusoidal", period=7, level=1.0, mod_depth=0.5)
+        n = np.arange(-10, 30)
+        shifted = sigma_at(CyclostationaryProfile(phase=phase, **kw), n)
+        assert np.array_equal(shifted, sigma_at(CyclostationaryProfile(**kw), n - phase))
+        assert not np.array_equal(shifted, sigma_at(CyclostationaryProfile(**kw), n))
+
     @pytest.mark.parametrize("kwargs", [
         dict(kind="pulsed", period=4, duty_cycle=0.5, v_low=0.0, v_high=2.0),
         dict(kind="pulsed", period=4, duty_cycle=1.5, v_low=0.1, v_high=2.0),
