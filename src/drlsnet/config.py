@@ -18,7 +18,7 @@ import numpy as np
 from .harness import EnsembleSpec
 from .network import (CombinationMatrix, build_combination_matrix, build_topology,
                       draw_noise_variances)
-from .signals import ColoredProcessParams, CyclostationaryProfile
+from .signals import ColoredProcessParams, CyclostationaryProfile, sigma_at
 
 
 class ConfigError(ValueError):
@@ -31,6 +31,13 @@ def _parse_bool(s: str) -> bool:
     if s.lower() in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"not a boolean: {s!r}")
+
+
+def _finite(s: str) -> float:
+    v = float(s)
+    if not np.isfinite(v):
+        raise ValueError(f"not a finite number: {s.strip()!r}")
+    return v
 
 
 def _parse_list(s: str, conv):
@@ -50,7 +57,7 @@ def _parse_edges(s: str) -> list[tuple[int, int]]:
 
 
 def _parse_matrix(s: str) -> list[list[float]]:
-    return [[float(v) for v in row.split(",")] for row in s.split(";") if row.strip()]
+    return [[_finite(v) for v in row.split(",")] for row in s.split(";") if row.strip()]
 
 
 # section -> key -> (parser, default-as-string or None for "unset")
@@ -58,34 +65,34 @@ SCHEMA = {
     "network": {
         "nodes": (int, "10"),
         "topology": (str, "random_geometric"),
-        "radius": (float, "0.45"),
+        "radius": (_finite, "0.45"),
         "topology_seed": (int, "7"),
         "edges": (_parse_edges, None),
         "combination": (str, "uniform"),
         "combination_rows": (_parse_matrix, None),
-        "noise_variances": (lambda s: _parse_list(s, float), None),
+        "noise_variances": (lambda s: _parse_list(s, _finite), None),
         "noise_seed": (int, "1234"),
-        "noise_low": (float, "0.01"),
-        "noise_high": (float, "0.1"),
+        "noise_low": (_finite, "0.01"),
+        "noise_high": (_finite, "0.1"),
     },
     "signal": {
         "profile": (str, "pulsed"),
         "period": (int, "32"),
-        "duty_cycle": (float, "0.5"),
-        "v_low": (float, "2e-3"),
-        "v_high": (float, "2.0"),
-        "level": (float, "1.0"),
-        "mod_depth": (float, "0.5"),
+        "duty_cycle": (_finite, "0.5"),
+        "v_low": (_finite, "2e-3"),
+        "v_high": (_finite, "2.0"),
+        "level": (_finite, "1.0"),
+        "mod_depth": (_finite, "0.5"),
         "phase": (int, "0"),
         "phases": (lambda s: _parse_list(s, int), None),
-        "rho": (float, "0.8"),
+        "rho": (_finite, "0.8"),
         "taps": (int, "8"),
     },
     "algorithm": {
-        "forgetting_factor": (float, "0.995"),
-        "delta": (float, "0.01"),
+        "forgetting_factor": (_finite, "0.995"),
+        "delta": (_finite, "0.01"),
         "algorithms": (lambda s: _parse_list(s, str), "rls, drls"),
-        "guard": (float, "1e12"),
+        "guard": (_finite, "1e12"),
     },
     "ensemble": {
         "runs": (int, "200"),
@@ -136,22 +143,18 @@ class ExperimentConfig:
         return draw_noise_variances(net["nodes"], net["noise_low"],
                                     net["noise_high"], net["noise_seed"])
 
-    def _profile_kwargs(self) -> dict:
+    def build_profiles(self) -> np.ndarray:
+        """(K, T) table of sigma_x(n), n = 0..T-1; row k has phase `phases[k]`, or `phase`."""
         sig = self.values["signal"]
-        return dict(kind=sig["profile"], period=sig["period"],
-                    duty_cycle=sig["duty_cycle"], v_low=sig["v_low"],
-                    v_high=sig["v_high"], level=sig["level"],
-                    mod_depth=sig["mod_depth"])
-
-    def build_profiles(self):
-        """Shared profile, or K node-specific ones when phases are given."""
-        sig = self.values["signal"]
-        kw = self._profile_kwargs()
-        if sig["phases"] is not None:
-            if len(sig["phases"]) != self.values["network"]["nodes"]:
-                raise ConfigError("signal.phases: need one phase per node")
-            return [CyclostationaryProfile(phase=p, **kw) for p in sig["phases"]]
-        return CyclostationaryProfile(phase=sig["phase"], **kw)
+        K = self.values["network"]["nodes"]
+        phases = [sig["phase"]] * K if sig["phases"] is None else sig["phases"]
+        if len(phases) != K:
+            raise ConfigError("signal.phases: need one phase per node")
+        profiles = [CyclostationaryProfile(
+            kind=sig["profile"], period=sig["period"], duty_cycle=sig["duty_cycle"],
+            v_low=sig["v_low"], v_high=sig["v_high"], level=sig["level"],
+            mod_depth=sig["mod_depth"], phase=p) for p in phases]
+        return np.stack([sigma_at(p, np.arange(p.period)) for p in profiles])
 
     def process_params(self) -> ColoredProcessParams:
         sig = self.values["signal"]

@@ -21,8 +21,7 @@ from scipy.signal import detrend
 from .filters import (DrlsNetworkState, NodeFilterState, drls_iteration,
                       init_state, rls_iteration, update_inverse_correlation)
 from .network import CombinationMatrix
-from .signals import (ColoredProcessParams, CyclostationaryProfile,
-                      generate_node_signals, make_ground_truth)
+from .signals import ColoredProcessParams, generate_node_signals, make_ground_truth
 from .theory import theoretical_trajectory
 
 ALGORITHMS = ("rls", "drls")
@@ -46,6 +45,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.runs < 1 or self.iterations < 1:
             raise ValueError("runs and iterations must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
@@ -88,7 +89,7 @@ _MAX_EXCLUDED_FRACTION = 0.01
 
 
 def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
-                 profile, params: ColoredProcessParams, lam: float,
+                 amplitude: np.ndarray, params: ColoredProcessParams, lam: float,
                  delta: float, spec: EnsembleSpec, *, guard: float = 1e12,
                  include_theory: bool = True, collect_mean_error: bool = False,
                  snapshot_every: int = 0) -> Trajectory:
@@ -102,6 +103,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     (`_MAX_EXCLUDED_FRACTION`), or every run, are lost.  With
     `collect_mean_error`, the DRLS ensemble mean of w_{k,n} - w_star is
     kept too, as its norm per iteration (None when DRLS is not selected).
+    `amplitude` is the (K, T) table of sigma_x(n), n = 0..T-1, per node.
 
     Runs are simulated `_RUN_CHUNK` at a time (by default as many as
     `_default_chunk` allows), and each chunk's signals are generated in
@@ -115,10 +117,8 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     N = spec.iterations
     R = spec.runs
     noise_variances = np.asarray(noise_variances, dtype=float)
-    profiles = ([profile] * K if isinstance(profile, CyclostationaryProfile)
-                else list(profile))
-    if len(profiles) != K:
-        raise ValueError(f"expected {K} node profiles, got {len(profiles)}")
+    if np.ndim(amplitude) != 2 or len(amplitude) != K:
+        raise ValueError(f"expected a ({K}, T) amplitude table, got {np.shape(amplitude)}")
 
     children = np.random.SeedSequence(spec.master_seed).spawn(1 + R)
     truth = make_ground_truth(L, children[0])
@@ -154,7 +154,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
             for s in streams:
                 k, x_k, d_k, rng_u, rng_z, carry = s
                 x_k[:size], d_k[:size], s[5] = generate_node_signals(
-                    profiles[k], params, truth, sigma_z[k], size, rng_u, rng_z, carry)
+                    amplitude[k], params, truth, sigma_z[k], size, rng_u, rng_z, carry)
 
         # P_{k,n} depends only on node k's regressors, lam and delta, so
         # the selected algorithms share one recursion and its gain
@@ -215,7 +215,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
 
     msd_theory = mean_err_norm_theory = None
     if include_theory:
-        theory = theoretical_trajectory(profiles, params, A, noise_variances,
+        theory = theoretical_trajectory(amplitude, params, A, noise_variances,
                                         truth.w_star, lam, delta, N)
         msd_theory = theory.msd
         mean_err_norm_theory = theory.mean_err_norm

@@ -5,7 +5,8 @@ The raw colored sequence u_n is AR(1) with unit stationary variance,
     u_n = rho * u_{n-1} + sqrt(1 - rho^2) * w_n,    w_n ~ N(0, 1),
 
 and the regressor tap at lag i is the raw sample scaled by the periodic
-amplitude of its own time index, x_{n-i} = sigma_x(n-i) * u_{n-i}.
+amplitude of its own time index, x_{n-i} = sigma_x(n-i) * u_{n-i}, read
+from one period of sigma_x evaluated once: sigma_x(n) = row[n % T].
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _ar1(innov: np.ndarray, rho: float, zi) -> tuple[np.ndarray, np.ndarray]:
     return lfilter([math.sqrt(1.0 - rho ** 2)], [1.0, -rho], innov, zi=zi)
 
 
-def generate_node_signals(profile: CyclostationaryProfile,
+def generate_node_signals(amplitude: np.ndarray,
                           params: ColoredProcessParams,
                           truth: GroundTruth, sigma_z: float,
                           n_iters: int,
@@ -141,6 +142,7 @@ def generate_node_signals(profile: CyclostationaryProfile,
                           ) -> tuple[np.ndarray, np.ndarray, SignalCarry]:
     """One node's signals for the next `n_iters` iterations, as one block.
 
+    `amplitude` is the node's sigma_x(n) for n = 0..T-1, one period.
     Returns (X, d, carry): X[j] is the regressor at the block's j-th
     iteration, shape (n_iters, L), d the desired responses, shape
     (n_iters,), and carry what the next block continues from.  With
@@ -159,7 +161,8 @@ def generate_node_signals(profile: CyclostationaryProfile,
     else:
         start, tail = carry.next_time, carry.tail
         u, zf = _ar1(rng_u.standard_normal(n_iters), rho, carry.zf)
-    scaled = np.concatenate((tail, sigma_at(profile, np.arange(start, start + u.size)) * u))
+    times = np.arange(start, start + u.size)
+    scaled = np.concatenate((tail, amplitude[times % amplitude.size] * u))
     # row j is the window ending at the block's j-th iteration, newest tap
     # first: a reversed sliding-window view.  d is taken on this view: a
     # contiguous copy would round differently in the last bit.

@@ -16,8 +16,8 @@ formed.  The network MSD is tr(K_n)/K.
 The K_n contractions run on BLAS: B K_{n-1} B^T is one batched matmul
 over the (K, K) grid of blocks, and applying cA on both sides is two
 GEMMs of A^T against (K, K*L*L) reshapes of the grid.  R_x(n) is built
-per step from R_u and a one-period table of sigma_x per node, so memory
-does not grow with the period.
+per step from R_u and the (K, T) table of sigma_x over one period, so
+memory does not grow with the period.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (ColoredProcessParams, CyclostationaryProfile,
-                      colored_autocorrelation, sigma_at)
+from .signals import ColoredProcessParams, colored_autocorrelation
 
 
 # tr(K_n)/K may dip below zero by this much, relative to max(1, |tr(K_n)/K|),
@@ -39,26 +38,18 @@ class TheoryError(RuntimeError):
     """The theory recursions broke down numerically (singular E{Phi}, K_n not PSD)."""
 
 
-@dataclass
-class TheoryState:
-    """Carriers of the three recursions at step n."""
-
-    EPhi: np.ndarray        # (K, L, L) diagonal blocks of E{Phi_n}
-    mean_err: np.ndarray    # (K, L)
-    Kmat: np.ndarray        # (K, K, L, L) block grid, symmetric PSD
-
-
 def initial_theory_state(K: int, L: int, delta: float,
-                         w_star: np.ndarray) -> TheoryState:
-    """Deterministic start: w_0 = 0 so werr_0 = -w_star at every node.
+                         w_star: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E{Phi_0}, E{werr_0}, K_0): w_0 = 0 so werr_0 = -w_star at every node.
 
     E{Phi_0} = delta*I per block, tracking the simulated filter's
-    Phi_{k,0} = P_{k,0}^-1 = delta*I.
+    Phi_{k,0} = P_{k,0}^-1 = delta*I; the shapes are (K, L, L), (K, L)
+    and the (K, K, L, L) block grid.
     """
     EPhi = np.broadcast_to(delta * np.eye(L), (K, L, L)).copy()
     mean_err = np.tile(-np.asarray(w_star, dtype=float), (K, 1))
     Kmat = np.einsum("ka,lb->klab", mean_err, mean_err)
-    return TheoryState(EPhi=EPhi, mean_err=mean_err, Kmat=Kmat)
+    return EPhi, mean_err, Kmat
 
 
 def expected_phi_step(EPhi_prev: np.ndarray, R_x_n: np.ndarray,
@@ -126,46 +117,40 @@ class TheoryTrajectory:
     mean_err_norm: np.ndarray  # (N,) ||E{werr_n}||
 
 
-def theoretical_trajectory(profile,
+def theoretical_trajectory(amplitude: np.ndarray,
                            params: ColoredProcessParams,
                            A: np.ndarray, noise_variances: np.ndarray,
                            w_star: np.ndarray, lam: float, delta: float,
                            N: int) -> TheoryTrajectory:
     """Iterate all three recursions for n = 1..N.
 
-    `profile` is either one shared CyclostationaryProfile or a sequence of
-    K node-specific ones (same period).  Raises TheoryError if an E{Phi_n}
-    block is singular or K_n loses positive semidefiniteness beyond PSD_TOL
+    `amplitude` is the (K, T) table of sigma_x: row k holds node k's
+    sigma_x(n) for n = 0..T-1.  Raises TheoryError if an E{Phi_n} block
+    is singular or K_n loses positive semidefiniteness beyond PSD_TOL
     relative to its scale.
     """
     K = A.shape[0]
     L = params.length
-    profiles = [profile] * K if isinstance(profile, CyclostationaryProfile) else list(profile)
-    if len(profiles) != K:
-        raise ValueError(f"expected {K} node profiles, got {len(profiles)}")
-    if len({p.period for p in profiles}) != 1:
-        raise ValueError("node profiles must share one period")
-    state = initial_theory_state(K, L, delta, w_star)
+    if np.ndim(amplitude) != 2 or len(amplitude) != K:
+        raise ValueError(f"expected a ({K}, T) amplitude table, got {np.shape(amplitude)}")
+    EPhi, mean_err, Kmat = initial_theory_state(K, L, delta, w_star)
     msd = np.empty(N)
     err_norm = np.empty(N)
-    period = profiles[0].period
     # R_x(n) = Sigma_x(n) R_u Sigma_x(n) per node, Sigma_x(n) = diag(sigma_x(n-i)),
     # entrywise; sigma_x(n) depends on n only through n mod T
     R_u = colored_autocorrelation(params)
-    sigma = np.stack([sigma_at(p, np.arange(period)) for p in profiles])
     lags = np.arange(L)
     for n in range(1, N + 1):
-        s = sigma[:, (n - lags) % period]
+        s = amplitude[:, (n - lags) % amplitude.shape[1]]
         R_x_n = R_u * (s[:, :, None] * s[:, None, :])
-        EPhi_n = expected_phi_step(state.EPhi, R_x_n, lam)
-        B = transition_blocks(EPhi_n, state.EPhi)
-        state.mean_err = mean_error_step(state.mean_err, B, A, lam)
-        state.Kmat = k_matrix_step(state.Kmat, B, EPhi_n, A, lam,
-                                   noise_variances, R_x_n)
-        state.EPhi = EPhi_n
-        m = network_msd(state.Kmat)
+        EPhi_n = expected_phi_step(EPhi, R_x_n, lam)
+        B = transition_blocks(EPhi_n, EPhi)
+        mean_err = mean_error_step(mean_err, B, A, lam)
+        Kmat = k_matrix_step(Kmat, B, EPhi_n, A, lam, noise_variances, R_x_n)
+        EPhi = EPhi_n
+        m = network_msd(Kmat)
         if m < -PSD_TOL * max(1.0, abs(m)):
             raise TheoryError(f"K_n lost positive semidefiniteness at n={n}: tr/K={m:.3e}")
         msd[n - 1] = m
-        err_norm[n - 1] = np.linalg.norm(state.mean_err)
+        err_norm[n - 1] = np.linalg.norm(mean_err)
     return TheoryTrajectory(msd=msd, mean_err_norm=err_norm)

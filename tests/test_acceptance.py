@@ -22,7 +22,7 @@ from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
                              make_ground_truth, sigma_at)
 from drlsnet.theory import (expected_phi_step, initial_theory_state,
                             k_matrix_step, mean_error_step, transition_blocks)
-from oracles import input_covariance
+from oracles import amplitude_table, input_covariance
 
 K, L, LAM, DELTA, RHO = 10, 8, 0.995, 0.01, 0.8
 MASTER_SEED = 42
@@ -59,8 +59,8 @@ def run_desk(desk, params, T, runs, iters, **kw):
     comb, nv = desk
     spec = EnsembleSpec(runs=runs, iterations=iters, master_seed=MASTER_SEED,
                         algorithms=kw.pop("algorithms", ("rls", "drls")))
-    return run_ensemble(comb, nv, pulsed(T) if T else
-                        CyclostationaryProfile(kind="constant", level=1.0),
+    profile = pulsed(T) if T else CyclostationaryProfile(kind="constant", level=1.0)
+    return run_ensemble(comb, nv, amplitude_table(profile, nodes=K),
                         params, LAM, DELTA, spec, **kw)
 
 
@@ -164,14 +164,14 @@ class TestCriterion5OracleEquivalences:
 
     def test_identity_combiner_degeneracy(self):
         Kd, Ld, N = 4, 3, 1000
-        prof = CyclostationaryProfile(kind="constant", level=1.0)
+        amplitude = amplitude_table(CyclostationaryProfile(kind="constant", level=1.0))[0]
         par = ColoredProcessParams(rho=RHO, length=Ld)
         truth = make_ground_truth(Ld, 5)
         X = np.empty((Kd, N, Ld))
         d = np.empty((Kd, N))
         for k, ss in enumerate(np.random.SeedSequence(5).spawn(Kd)):
             su, sz = ss.spawn(2)
-            X[k], d[k], _ = generate_node_signals(prof, par, truth, 0.3, N,
+            X[k], d[k], _ = generate_node_signals(amplitude, par, truth, 0.3, N,
                                                   np.random.default_rng(su),
                                                   np.random.default_rng(sz))
         net = DrlsNetworkState(init_state(Ld, DELTA, (Kd,)), np.eye(Kd))
@@ -191,7 +191,7 @@ class TestCriterion5OracleEquivalences:
         prof = pulsed(4)
         sigma_z2 = 0.04
         w_star = np.array([1.0])
-        state = initial_theory_state(1, 1, DELTA, w_star)
+        EPhi, mean_err, Kmat = initial_theory_state(1, 1, DELTA, w_star)
         # independent scalar recursions written out longhand
         ephi, ew, kk = DELTA, -1.0, 1.0
         worst = 0.0
@@ -205,16 +205,16 @@ class TestCriterion5OracleEquivalences:
 
             # drive the block implementation one step
             R = np.array([[[r]]])
-            EPhi_new = expected_phi_step(state.EPhi, R, LAM)
-            B = transition_blocks(EPhi_new, state.EPhi)
-            state.mean_err = mean_error_step(state.mean_err, B, np.eye(1), LAM)
-            state.Kmat = k_matrix_step(state.Kmat, B, EPhi_new, np.eye(1), LAM,
-                                       np.array([sigma_z2]), R)
-            state.EPhi = EPhi_new
+            EPhi_new = expected_phi_step(EPhi, R, LAM)
+            B = transition_blocks(EPhi_new, EPhi)
+            mean_err = mean_error_step(mean_err, B, np.eye(1), LAM)
+            Kmat = k_matrix_step(Kmat, B, EPhi_new, np.eye(1), LAM,
+                                 np.array([sigma_z2]), R)
+            EPhi = EPhi_new
             worst = max(worst,
-                        abs(state.EPhi[0, 0, 0] - ephi),
-                        abs(state.mean_err[0, 0] - ew),
-                        abs(state.Kmat[0, 0, 0, 0] - kk))
+                        abs(EPhi[0, 0, 0] - ephi),
+                        abs(mean_err[0, 0] - ew),
+                        abs(Kmat[0, 0, 0, 0] - kk))
         report(5, "scalar theory recursions", worst < 1e-12,
                f"max deviation from hand iteration {worst:.2e} "
                f"over 1000 steps (tol 1e-12)")
@@ -226,8 +226,8 @@ class TestCriterion5OracleEquivalences:
         acc = np.zeros((2, 2))
         for r, ss in enumerate(np.random.SeedSequence(77).spawn(runs)):
             su, sz = ss.spawn(2)
-            X, _, _ = generate_node_signals(prof, par, truth, 0.1, n_check,
-                                            np.random.default_rng(su),
+            X, _, _ = generate_node_signals(amplitude_table(prof)[0], par, truth, 0.1,
+                                            n_check, np.random.default_rng(su),
                                             np.random.default_rng(sz))
             Phi = DELTA * np.eye(2)
             for n in range(n_check):
@@ -246,9 +246,9 @@ class TestCriterion5OracleEquivalences:
 class TestCriterion6StatisticalGenerators:
     def test_ar1_moments(self):
         par = ColoredProcessParams(rho=RHO, length=1)
-        prof = CyclostationaryProfile(kind="constant", level=1.0)
+        unit = amplitude_table(CyclostationaryProfile(kind="constant", level=1.0))[0]
         truth = make_ground_truth(1, 0)
-        X, _, _ = generate_node_signals(prof, par, truth, 0.0, 1_000_000,
+        X, _, _ = generate_node_signals(unit, par, truth, 0.0, 1_000_000,
                                         np.random.default_rng(3),
                                         np.random.default_rng(4))
         u = X[:, 0]
@@ -262,8 +262,8 @@ class TestCriterion6StatisticalGenerators:
         par = ColoredProcessParams(rho=RHO, length=4)
         prof = CyclostationaryProfile(kind="constant", level=1.0)
         truth = make_ground_truth(4, 0)
-        X, _, _ = generate_node_signals(prof, par, truth, 0.0, 1_000_000,
-                                        np.random.default_rng(5),
+        X, _, _ = generate_node_signals(amplitude_table(prof)[0], par, truth, 0.0,
+                                        1_000_000, np.random.default_rng(5),
                                         np.random.default_rng(6))
         R = input_covariance(prof, par, 10)
         assert np.allclose(R, colored_autocorrelation(par))

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -10,6 +11,7 @@ from drlsnet.cli import (CSV_COLUMNS, EXIT_ACCEPTANCE, EXIT_NUMERIC, EXIT_OK,
                          EXIT_VALIDATION, main, run_experiment)
 from drlsnet.config import (ConfigError, config_to_text, parse_config,
                             resolve_config, with_overrides)
+from drlsnet.signals import CyclostationaryProfile, sigma_at
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -31,6 +33,25 @@ EXPLICIT = {
     "signal": {"period": "8", "taps": "2", "phases": "0, 2, 4"},
     "ensemble": {"runs": "2", "iterations": "60", "master_seed": "3"},
     "output": {"plot_script": "false"},
+}
+
+
+# per-node phases on a sinusoidal profile: the path the pulsed, in-phase
+# benchmark workloads never run
+WAVY = {
+    "network": {"nodes": "4", "topology": "ring"},
+    "signal": {"profile": "sinusoidal", "period": "8", "taps": "3", "mod_depth": "0.6",
+               "phases": "0, 2, 5, 7"},
+    "ensemble": {"runs": "3", "iterations": "120", "master_seed": "5"},
+    "output": {"plot_script": "false"},
+}
+
+# sha256 of the trajectory CSV each config writes: a change to any output
+# digit fails the pin.  A numpy or BLAS build that rounds differently
+# needs them re-recorded.
+CSV_SHA256 = {
+    "small": "6e32a65c77b48f052f0bb44e3db43358d59b587f401093714e20fb7c0392847a",
+    "wavy": "49a6bbb118d18c66193361307f50d66ce6e6b8d9d450897456f8584504c3835a",
 }
 
 
@@ -94,8 +115,33 @@ class TestParsing:
     def test_phases_build_per_node_profiles(self):
         cfg = resolve_config({"network": {"nodes": "3", "topology": "ring"},
                               "signal": {"phases": "0, 4, 8"}})
-        profiles = cfg.build_profiles()
-        assert [p.phase for p in profiles] == [0, 4, 8]
+        table = cfg.build_profiles()
+        assert table.shape == (3, 32)
+        # a pulsed row shifted by its phase
+        for k, phase in enumerate([0, 4, 8]):
+            assert np.array_equal(table[k], np.roll(table[0], phase))
+        shared = resolve_config({"network": {"nodes": "3", "topology": "ring"},
+                                 "signal": {"phase": "4"}}).build_profiles()
+        assert np.array_equal(shared, np.stack([table[1]] * 3))
+
+    @pytest.mark.parametrize("signal", [
+        {"profile": "constant", "level": "1.5", "period": "5"},
+        {"profile": "pulsed", "period": "6", "duty_cycle": "0.4"},
+        {"profile": "sinusoidal", "period": "7", "mod_depth": "0.5"},
+    ], ids=["constant", "pulsed", "sinusoidal"])
+    def test_amplitude_table_reads_sigma_at(self, signal):
+        # row[n % T] is sigma_x(n) exactly, before time 0 as after it
+        cfg = resolve_config({"network": {"nodes": "2", "topology": "ring"},
+                              "signal": {**signal, "phases": "3, -2"}})
+        sig = cfg["signal"]
+        table = cfg.build_profiles()
+        n = np.arange(-40, 5001)
+        for row, phase in zip(table, (3, -2)):
+            profile = CyclostationaryProfile(
+                kind=sig["profile"], period=sig["period"], duty_cycle=sig["duty_cycle"],
+                v_low=sig["v_low"], v_high=sig["v_high"], level=sig["level"],
+                mod_depth=sig["mod_depth"], phase=phase)
+            assert np.array_equal(row[n % sig["period"]], sigma_at(profile, n))
 
     def test_with_overrides_keeps_explicit_edges_and_lists(self):
         cfg = resolve_config(EXPLICIT)
@@ -136,6 +182,12 @@ class TestRunExperiment:
         run_experiment(resolve_config(SMALL), out_dir=second)
         assert ((outputs / "experiment_trajectory.csv").read_bytes()
                 == (second / "experiment_trajectory.csv").read_bytes())
+
+    @pytest.mark.parametrize("name, raw", [("small", SMALL), ("wavy", WAVY)])
+    def test_csv_bytes_pinned(self, tmp_path, name, raw):
+        assert run_experiment(resolve_config(raw), out_dir=tmp_path) == EXIT_OK
+        csv_bytes = (tmp_path / "experiment_trajectory.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == CSV_SHA256[name]
 
     def test_csv_round_trips_curves(self, outputs):
         import csv
@@ -211,6 +263,19 @@ class TestMain:
         ("algorithm", {"algorithms": "rls, lms"}, "ensemble: unknown algorithms: ['lms']"),
         ("ensemble", {"runs": "0"}, "ensemble: runs and iterations must be >= 1"),
         ("ensemble", {"iterations": "0"}, "ensemble: runs and iterations must be >= 1"),
+        ("ensemble", {"master_seed": "-1"}, "ensemble: master_seed must be >= 0"),
+        # every float is parsed finite, so NaN and inf stop at the parser
+        ("network", {"noise_variances": "nan, 0.1, 0.1, 0.1"},
+         "network.noise_variances: cannot parse"),
+        ("network", {"noise_variances": "0.1, inf, 0.1, 0.1"},
+         "network.noise_variances: cannot parse"),
+        ("network", {"combination_rows": "nan, 0.5, 0, 0.5; 0.5, 0.5, 0.5, 0; "
+                                         "0, 0.5, 0.5, 0.5; 0.5, 0, 0.5, 0.5"},
+         "network.combination_rows: cannot parse"),
+        ("algorithm", {"guard": "nan"}, "algorithm.guard: cannot parse"),
+        ("algorithm", {"guard": "inf"}, "algorithm.guard: cannot parse"),
+        ("signal", {"profile": "constant", "level": "nan"}, "signal.level: cannot parse"),
+        ("signal", {"rho": "-inf"}, "signal.rho: cannot parse"),
     ])
     def test_check_rejects_what_run_rejects(self, tmp_path, capsys, section,
                                             values, message):

@@ -7,6 +7,7 @@ from drlsnet.filters import (DrlsNetworkState, adapt, combine, drls_iteration,
 from drlsnet.network import build_combination_matrix, build_topology
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
                              generate_node_signals, make_ground_truth)
+from oracles import amplitude_table
 
 LAM = 0.995
 
@@ -151,13 +152,14 @@ def make_node_data(K, L, N, sigma_z, seed, period=1, kind="constant"):
     profile = (CyclostationaryProfile(kind="constant", level=1.0) if kind == "constant"
                else CyclostationaryProfile(kind="pulsed", period=period,
                                            duty_cycle=0.5, v_low=2e-3, v_high=2.0))
+    amplitude = amplitude_table(profile)[0]
     params = ColoredProcessParams(rho=0.8, length=L)
     truth = make_ground_truth(L, seed)
     X = np.empty((K, N, L))
     d = np.empty((K, N))
     for k, ss in enumerate(np.random.SeedSequence(seed).spawn(K)):
         su, sz = ss.spawn(2)
-        X[k], d[k], _ = generate_node_signals(profile, params, truth, sigma_z, N,
+        X[k], d[k], _ = generate_node_signals(amplitude, params, truth, sigma_z, N,
                                               np.random.default_rng(su),
                                               np.random.default_rng(sz))
     return X, d, truth
@@ -235,11 +237,11 @@ class TestIterations:
     def test_long_pulsed_run_keeps_P_symmetric_pd(self):
         # conditioning stress: 1e5 iterations with V_l = 2e-3 low segments
         L, N = 2, 100_000
-        profile = CyclostationaryProfile(kind="pulsed", period=64,
-                                         duty_cycle=0.5, v_low=2e-3, v_high=2.0)
+        amplitude = amplitude_table(CyclostationaryProfile(
+            kind="pulsed", period=64, duty_cycle=0.5, v_low=2e-3, v_high=2.0))[0]
         params = ColoredProcessParams(rho=0.8, length=L)
         truth = make_ground_truth(L, 9)
-        X, d, _ = generate_node_signals(profile, params, truth, 0.1, N,
+        X, d, _ = generate_node_signals(amplitude, params, truth, 0.1, N,
                                         np.random.default_rng(10),
                                         np.random.default_rng(11))
         state = init_state(L, 0.01)

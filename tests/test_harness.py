@@ -14,8 +14,10 @@ from drlsnet.network import (CombinationMatrix, build_combination_matrix,
                              build_topology, draw_noise_variances)
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
                              generate_node_signals, make_ground_truth)
+from oracles import amplitude_table
 
 CONST = CyclostationaryProfile(kind="constant", level=1.0)
+FAINT = amplitude_table(CyclostationaryProfile(kind="constant", level=0.003), nodes=3)
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -67,7 +69,7 @@ def blas_combine(A, psi):
     return np.matmul(A.T, psi)
 
 
-def independent_states_msd(comb, nv, profile, params, lam, delta, spec,
+def independent_states_msd(comb, nv, amplitude, params, lam, delta, spec,
                            step=blas_step, mix=blas_combine):
     """MSD curves from a loop that gives every algorithm its own P.
 
@@ -86,7 +88,7 @@ def independent_states_msd(comb, nv, profile, params, lam, delta, spec,
         for k, node in enumerate(children[1 + r].spawn(K)):
             ss_u, ss_z = node.spawn(2)
             X[:, r, k], d[:, r, k], _ = generate_node_signals(
-                profile, params, truth, sigma_z[k], N,
+                amplitude[k], params, truth, sigma_z[k], N,
                 np.random.default_rng(ss_u), np.random.default_rng(ss_z))
     msd = {}
     for algo in spec.algorithms:
@@ -140,7 +142,8 @@ def run_with_bad_regressor(monkeypatch, bad_value, bad_iteration, block_iteratio
     comb, nv = desk_network(K)
     spec = EnsembleSpec(runs=R, iterations=20, master_seed=5)
     with np.errstate(invalid="ignore"):
-        traj = run_ensemble(comb, nv, CONST, ColoredProcessParams(rho=0.5, length=L),
+        traj = run_ensemble(comb, nv, amplitude_table(CONST, nodes=K),
+                            ColoredProcessParams(rho=0.5, length=L),
                             0.995, 0.01, spec, include_theory=False)
     blocks = 1 if block_iterations is None else -(-20 // block_iterations)
     assert len(calls) == R * K * blocks
@@ -153,7 +156,7 @@ class TestRunEnsemble:
         comb = identity_combiner(K)
         spec = EnsembleSpec(runs=1, iterations=1000, master_seed=3,
                             algorithms=("rls",))
-        traj = run_ensemble(comb, np.full(K, 1e-12), CONST,
+        traj = run_ensemble(comb, np.full(K, 1e-12), amplitude_table(CONST, nodes=K),
                             ColoredProcessParams(rho=0.8, length=8),
                             0.995, 0.01, spec, include_theory=False)
         emp = to_db(traj.msd_empirical["rls"])
@@ -164,7 +167,7 @@ class TestRunEnsemble:
     def test_bit_identical_rerun(self):
         comb, nv = desk_network(5)
         spec = EnsembleSpec(runs=5, iterations=100, master_seed=11)
-        kwargs = dict(profile=CONST,
+        kwargs = dict(amplitude=amplitude_table(CONST, nodes=5),
                       params=ColoredProcessParams(rho=0.8, length=3),
                       lam=0.995, delta=0.01, spec=spec)
         a = run_ensemble(comb, nv, **kwargs)
@@ -179,7 +182,8 @@ class TestRunEnsemble:
 
         def run(chunk):
             monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", chunk)
-            return run_ensemble(comb, nv, CONST, ColoredProcessParams(rho=0.8, length=3),
+            return run_ensemble(comb, nv, amplitude_table(CONST, nodes=4),
+                                ColoredProcessParams(rho=0.8, length=3),
                                 0.995, 0.01, spec, include_theory=False)
 
         a, b, c = run(1), run(7), run(3)
@@ -197,7 +201,7 @@ class TestRunEnsemble:
         spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
 
         def run():
-            return run_ensemble(comb, nv, CyclostationaryProfile(kind="constant", level=0.003),
+            return run_ensemble(comb, nv, FAINT,
                                 params, 0.995, 0.01, spec, guard=440.0,
                                 include_theory=False, collect_mean_error=True,
                                 snapshot_every=50)
@@ -228,7 +232,7 @@ class TestRunEnsemble:
         spec = EnsembleSpec(runs=R, iterations=N, master_seed=3)
         tracemalloc.start()
         try:
-            run_ensemble(comb, np.full(K, 0.01), CONST,
+            run_ensemble(comb, np.full(K, 0.01), amplitude_table(CONST, nodes=K),
                          ColoredProcessParams(rho=0.8, length=L), 0.995, 0.01, spec,
                          include_theory=False)
             peak = tracemalloc.get_traced_memory()[1]
@@ -244,7 +248,8 @@ class TestRunEnsemble:
         def mean_error(algorithms):
             spec = EnsembleSpec(runs=5, iterations=60, master_seed=17,
                                 algorithms=algorithms)
-            return run_ensemble(comb, nv, CONST, ColoredProcessParams(rho=0.8, length=3),
+            return run_ensemble(comb, nv, amplitude_table(CONST, nodes=4),
+                                ColoredProcessParams(rho=0.8, length=3),
                                 0.995, 0.01, spec, include_theory=False,
                                 collect_mean_error=True).mean_err_norm_empirical
 
@@ -259,7 +264,7 @@ class TestRunEnsemble:
         # w_0 = 0 and ||w_star||^2 = 1: MSD at n=0 is 0 dB by construction
         comb, nv = desk_network(3)
         spec = EnsembleSpec(runs=2, iterations=10, master_seed=5)
-        traj = run_ensemble(comb, nv, CONST,
+        traj = run_ensemble(comb, nv, amplitude_table(CONST, nodes=3),
                             ColoredProcessParams(rho=0.0, length=2),
                             0.995, 0.01, spec)
         assert abs(traj.w_star @ traj.w_star - 1.0) < 1e-12
@@ -270,7 +275,7 @@ class TestRunEnsemble:
         spec = EnsembleSpec(runs=2, iterations=50, master_seed=5)
         with pytest.raises(ExcludedRunThresholdError):
             # absurdly low guard forces exclusion of every run
-            run_ensemble(comb, nv, CONST,
+            run_ensemble(comb, nv, amplitude_table(CONST, nodes=3),
                          ColoredProcessParams(rho=0.0, length=2),
                          0.995, 0.01, spec, guard=1e-6, include_theory=False)
 
@@ -282,7 +287,7 @@ class TestRunEnsemble:
         monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 3)
         comb, nv = desk_network(3)
         spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
-        traj = run_ensemble(comb, nv, CyclostationaryProfile(kind="constant", level=0.003),
+        traj = run_ensemble(comb, nv, FAINT,
                             ColoredProcessParams(rho=0.8, length=2), 0.995, 0.01,
                             spec, guard=440.0, include_theory=False)
         pinned = [(1, 394), (2, 389), (3, 389), (4, 400), (7, 397)]
@@ -298,7 +303,7 @@ class TestRunEnsemble:
         spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
         with pytest.raises(ExcludedRunThresholdError,
                            match=r"5 of 8 runs excluded \(allowed: at most 1%"):
-            run_ensemble(comb, nv, CyclostationaryProfile(kind="constant", level=0.003),
+            run_ensemble(comb, nv, FAINT,
                          ColoredProcessParams(rho=0.8, length=2), 0.995, 0.01,
                          spec, guard=440.0, include_theory=False)
 
@@ -324,14 +329,14 @@ class TestRunEnsemble:
     def test_shared_recursion_matches_independent_states(self, monkeypatch, algorithms):
         monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 2)
         comb, nv = desk_network(4)
-        profile = CyclostationaryProfile(kind="pulsed", period=8, duty_cycle=0.5,
-                                         v_low=2e-3, v_high=2.0)
+        amplitude = amplitude_table(CyclostationaryProfile(
+            kind="pulsed", period=8, duty_cycle=0.5, v_low=2e-3, v_high=2.0), nodes=4)
         params = ColoredProcessParams(rho=0.8, length=3)
         spec = EnsembleSpec(runs=5, iterations=150, master_seed=17,
                             algorithms=algorithms)
-        traj = run_ensemble(comb, nv, profile, params, 0.995, 0.01, spec,
+        traj = run_ensemble(comb, nv, amplitude, params, 0.995, 0.01, spec,
                             include_theory=False)
-        want = independent_states_msd(comb, nv, profile, params, 0.995, 0.01, spec)
+        want = independent_states_msd(comb, nv, amplitude, params, 0.995, 0.01, spec)
         assert traj.msd_empirical.keys() == want.keys()
         for algo in algorithms:
             assert np.array_equal(traj.msd_empirical[algo], want[algo])
@@ -342,13 +347,13 @@ class TestRunEnsemble:
         # faint segments the curves agree to 1e-10 relative at every iteration
         monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 3)
         comb, nv = line_network(4)
-        profile = CyclostationaryProfile(kind="pulsed", period=32, duty_cycle=0.5,
-                                         v_low=2e-3, v_high=2.0)
+        amplitude = amplitude_table(CyclostationaryProfile(
+            kind="pulsed", period=32, duty_cycle=0.5, v_low=2e-3, v_high=2.0), nodes=4)
         params = ColoredProcessParams(rho=0.8, length=3)
         spec = EnsembleSpec(runs=4, iterations=2500, master_seed=23)
-        traj = run_ensemble(comb, nv, profile, params, 0.995, 0.01, spec,
+        traj = run_ensemble(comb, nv, amplitude, params, 0.995, 0.01, spec,
                             include_theory=False)
-        want = independent_states_msd(comb, nv, profile, params, 0.995, 0.01, spec,
+        want = independent_states_msd(comb, nv, amplitude, params, 0.995, 0.01, spec,
                                       step=einsum_step, mix=einsum_combine)
         assert traj.msd_empirical.keys() == want.keys() == {"rls", "drls"}
         for algo in ("rls", "drls"):
@@ -362,14 +367,22 @@ class TestRunEnsemble:
         comb, nv = desk_network(3)
         spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
         with pytest.raises(ExcludedRunThresholdError, match="8 of 8 runs excluded"):
-            run_ensemble(comb, nv, CyclostationaryProfile(kind="constant", level=0.003),
+            run_ensemble(comb, nv, FAINT,
                          ColoredProcessParams(rho=0.8, length=2), 0.995, 0.01,
                          spec, guard=200.0, include_theory=False)
+
+    def test_amplitude_rows_must_match_nodes(self):
+        comb, nv = desk_network(3)
+        spec = EnsembleSpec(runs=1, iterations=5, master_seed=5)
+        for amplitude in (amplitude_table(CONST, nodes=2), amplitude_table(CONST, nodes=3)[0]):
+            with pytest.raises(ValueError, match=r"expected a \(3, T\) amplitude table"):
+                run_ensemble(comb, nv, amplitude, ColoredProcessParams(rho=0.5, length=2),
+                             0.995, 0.01, spec, include_theory=False)
 
     def test_theory_only(self):
         comb, nv = desk_network(3)
         spec = EnsembleSpec(runs=1, iterations=50, master_seed=5, algorithms=())
-        traj = run_ensemble(comb, nv, CONST,
+        traj = run_ensemble(comb, nv, amplitude_table(CONST, nodes=3),
                             ColoredProcessParams(rho=0.5, length=2),
                             0.995, 0.01, spec)
         assert traj.msd_empirical == {}
@@ -378,7 +391,7 @@ class TestRunEnsemble:
     def test_snapshots_collected(self):
         comb, nv = desk_network(3)
         spec = EnsembleSpec(runs=2, iterations=40, master_seed=5)
-        traj = run_ensemble(comb, nv, CONST,
+        traj = run_ensemble(comb, nv, amplitude_table(CONST, nodes=3),
                             ColoredProcessParams(rho=0.5, length=2),
                             0.995, 0.01, spec, snapshot_every=10,
                             include_theory=False)
@@ -474,7 +487,7 @@ def test_benchmark_tracer_records_both_filter_spans():
     comb, nv = desk_network(3)
     spec = EnsembleSpec(runs=2, iterations=5, master_seed=5)
     with spans.Tracer().patch(drlsnet) as tracer:
-        drlsnet.harness.run_ensemble(comb, nv, CONST,
+        drlsnet.harness.run_ensemble(comb, nv, amplitude_table(CONST, nodes=3),
                                      ColoredProcessParams(rho=0.5, length=2),
                                      0.995, 0.01, spec, include_theory=False)
     assert drlsnet.harness.drls_iteration.__module__ == "drlsnet.filters"
@@ -499,7 +512,7 @@ def test_benchmark_tracer_counts_every_signal_block(monkeypatch):
     comb, nv = desk_network(K)
     spec = EnsembleSpec(runs=R, iterations=N, master_seed=5)
     with spans.Tracer().patch(drlsnet) as tracer:
-        drlsnet.harness.run_ensemble(comb, nv, CONST,
+        drlsnet.harness.run_ensemble(comb, nv, amplitude_table(CONST, nodes=3),
                                      ColoredProcessParams(rho=0.5, length=L),
                                      0.995, 0.01, spec, include_theory=False)
     metrics = spans.layer_metrics(tracer.spans, 1, [[]])

@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
                              GroundTruth, colored_autocorrelation,
                              generate_node_signals, make_ground_truth, sigma_at)
-from oracles import input_covariance
+from oracles import amplitude_table, input_covariance
 
 PULSED = CyclostationaryProfile(kind="pulsed", period=4, duty_cycle=0.5,
                                 v_low=2e-3, v_high=2.0)
+# one node's sigma_x rows, as the generator takes them
+PULSED_ROW = amplitude_table(PULSED)[0]
+UNIT = amplitude_table(CyclostationaryProfile(kind="constant", level=1.0))[0]
 
 
 # Streaming generator: the oracle that generate_node_signals must match
@@ -137,10 +140,9 @@ class TestColoredProcess:
     def test_variance_and_lag1_autocorrelation(self):
         # law-of-large-numbers oracle on the batch generator
         params = ColoredProcessParams(rho=0.8, length=2)
-        prof = CyclostationaryProfile(kind="constant", level=1.0)
         truth = make_ground_truth(2, 0)
         rng = np.random.default_rng(1)
-        X, _, _ = generate_node_signals(prof, params, truth, 0.0, 1_000_000,
+        X, _, _ = generate_node_signals(UNIT, params, truth, 0.0, 1_000_000,
                                         rng, np.random.default_rng(2))
         u = X[:, 0]
         assert u.var() == pytest.approx(1.0, rel=0.01)
@@ -200,9 +202,8 @@ class TestAutocorrelation:
 
     def test_monte_carlo_covariance(self):
         params = ColoredProcessParams(rho=0.8, length=4)
-        prof = CyclostationaryProfile(kind="constant", level=1.0)
         truth = make_ground_truth(4, 0)
-        X, _, _ = generate_node_signals(prof, params, truth, 0.0, 1_000_000,
+        X, _, _ = generate_node_signals(UNIT, params, truth, 0.0, 1_000_000,
                                         np.random.default_rng(7),
                                         np.random.default_rng(8))
         sample_cov = X.T @ X / X.shape[0]
@@ -240,7 +241,7 @@ class TestInputCovariance:
         params = ColoredProcessParams(rho=0.8, length=3)
         truth = make_ground_truth(3, 0)
         N = 800_000
-        X, _, _ = generate_node_signals(PULSED, params, truth, 0.0, N,
+        X, _, _ = generate_node_signals(PULSED_ROW, params, truth, 0.0, N,
                                         np.random.default_rng(9),
                                         np.random.default_rng(10))
         phase = 2  # regressor at times n = 2 mod 4: taps straddle segments
@@ -294,14 +295,13 @@ def test_cross_node_independence():
     # two nodes driven from sibling streams: sample cross-correlation of
     # their scalar inputs stays below 3/sqrt(samples)
     params = ColoredProcessParams(rho=0.8, length=1)
-    prof = CyclostationaryProfile(kind="constant", level=1.0)
     truth = make_ground_truth(1, 0)
     n = 100_000
     node_a, node_b = np.random.SeedSequence(123).spawn(2)
-    Xa, _, _ = generate_node_signals(prof, params, truth, 0.0, n,
+    Xa, _, _ = generate_node_signals(UNIT, params, truth, 0.0, n,
                                      np.random.default_rng(node_a),
                                      np.random.default_rng(0))
-    Xb, _, _ = generate_node_signals(prof, params, truth, 0.0, n,
+    Xb, _, _ = generate_node_signals(UNIT, params, truth, 0.0, n,
                                      np.random.default_rng(node_b),
                                      np.random.default_rng(1))
     corr = np.mean(Xa[:, 0] * Xb[:, 0])
@@ -312,7 +312,7 @@ def test_batch_generator_matches_stateful_path():
     params = ColoredProcessParams(rho=0.8, length=4)
     truth = make_ground_truth(4, 3)
     ss_u, ss_z = np.random.SeedSequence(9).spawn(2)
-    X, _, _ = generate_node_signals(PULSED, params, truth, 0.0, 50,
+    X, _, _ = generate_node_signals(PULSED_ROW, params, truth, 0.0, 50,
                                     np.random.default_rng(ss_u),
                                     np.random.default_rng(ss_z))
     rng = np.random.default_rng(ss_u)
@@ -324,12 +324,12 @@ def test_batch_generator_matches_stateful_path():
     assert np.array_equal(X, np.array(xs))
 
 
-def generate_in_blocks(profile, params, truth, sigma_z, N, block, seeds):
+def generate_in_blocks(amplitude, params, truth, sigma_z, N, block, seeds):
     """generate_node_signals over N iterations, `block` iterations per call."""
     rng_u, rng_z = (np.random.default_rng(s) for s in seeds)
     carry, Xs, ds = None, [], []
     for n0 in range(0, N, block):
-        X, d, carry = generate_node_signals(profile, params, truth, sigma_z,
+        X, d, carry = generate_node_signals(amplitude, params, truth, sigma_z,
                                             min(block, N - n0), rng_u, rng_z, carry)
         Xs.append(X)
         ds.append(d)
@@ -351,10 +351,11 @@ def test_blockwise_generation_is_bit_identical(profile, L, block):
     N = N_GEN
     params = ColoredProcessParams(rho=0.8, length=L)
     truth = make_ground_truth(L, 4)
+    amplitude = amplitude_table(profile)[0]
     want_X, want_d, want_carry = generate_node_signals(
-        profile, params, truth, 0.3, N, np.random.default_rng(1),
+        amplitude, params, truth, 0.3, N, np.random.default_rng(1),
         np.random.default_rng(2))
-    X, d, carry = generate_in_blocks(profile, params, truth, 0.3, N, block, (1, 2))
+    X, d, carry = generate_in_blocks(amplitude, params, truth, 0.3, N, block, (1, 2))
     assert np.array_equal(X, want_X)
     assert np.array_equal(d, want_d)
     assert carry.next_time == want_carry.next_time == N + 1

@@ -12,7 +12,7 @@ from drlsnet.theory import (TheoryError, TheoryTrajectory, expected_phi_step,
                             initial_theory_state, k_matrix_step,
                             mean_error_step, network_msd,
                             theoretical_trajectory, transition_blocks)
-from oracles import input_covariance
+from oracles import amplitude_table, input_covariance
 
 LAM = 0.995
 PULSED4 = CyclostationaryProfile(kind="pulsed", period=4, duty_cycle=0.5,
@@ -75,7 +75,8 @@ class TestExpectedPhi:
         acc = np.zeros((2, 2))
         for r, ss in enumerate(np.random.SeedSequence(77).spawn(runs)):
             su, sz = ss.spawn(2)
-            X, _, _ = generate_node_signals(PULSED4, params, truth, 0.0, n_check,
+            X, _, _ = generate_node_signals(amplitude_table(PULSED4)[0], params, truth,
+                                            0.0, n_check,
                                             np.random.default_rng(su),
                                             np.random.default_rng(sz))
             Phi = 0.01 * np.eye(2)
@@ -123,7 +124,7 @@ class TestMeanError:
         A = build_combination_matrix(topo).A
         params = ColoredProcessParams(rho=0.8, length=3)
         w = make_ground_truth(3, 1).w_star
-        traj = theoretical_trajectory(CONST, params, A,
+        traj = theoretical_trajectory(amplitude_table(CONST, nodes=4), params, A,
                                       np.full(4, 0.05), w, LAM, 0.01, 3000)
         n0 = 500
         ratio = traj.mean_err_norm[2999] / traj.mean_err_norm[n0 - 1]
@@ -156,7 +157,7 @@ class TestKMatrix:
         A = build_combination_matrix(topo).A
         params = ColoredProcessParams(rho=0.5, length=2)
         w = make_ground_truth(2, 2).w_star
-        traj = theoretical_trajectory(CONST, params, A, np.zeros(3),
+        traj = theoretical_trajectory(amplitude_table(CONST, nodes=3), params, A, np.zeros(3),
                                       w, LAM, 0.01, 4000)
         assert traj.msd[-1] < 1e-12
 
@@ -243,9 +244,7 @@ class TestKMatrix:
         profile = CyclostationaryProfile(kind="pulsed", period=16,
                                          duty_cycle=0.5, v_low=2e-3, v_high=2.0)
         K, L = 5, 2
-        state = initial_theory_state(K, L, 0.01, w)
-        EPhi = state.EPhi
-        Kmat = state.Kmat
+        EPhi, _, Kmat = initial_theory_state(K, L, 0.01, w)
         sz = np.full(K, 0.05)
         for n in range(1, 10_001):
             R = np.broadcast_to(input_covariance(profile, params, n), (K, L, L))
@@ -270,15 +269,15 @@ class TestNetworkMsd:
 
     def test_initial_msd_is_one(self):
         w = make_ground_truth(6, 5).w_star
-        state = initial_theory_state(3, 6, 0.01, w)
-        assert network_msd(state.Kmat) == pytest.approx(1.0, abs=1e-12)
+        _, _, Kmat = initial_theory_state(3, 6, 0.01, w)
+        assert network_msd(Kmat) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTrajectory:
     def test_scalar_full_pipeline_matches_simple_loop(self):
         params = ColoredProcessParams(rho=0.0, length=1)
         A = np.array([[1.0]])
-        traj = theoretical_trajectory(CONST, params, A, np.array([0.02]),
+        traj = theoretical_trajectory(amplitude_table(CONST), params, A, np.array([0.02]),
                                       np.array([1.0]), LAM, 0.01, 300)
         assert isinstance(traj, TheoryTrajectory)
         # independent scalar re-iteration
@@ -294,7 +293,7 @@ class TestTrajectory:
     def test_monotone_after_transient_stationary(self):
         params = ColoredProcessParams(rho=0.8, length=2)
         A = np.array([[1.0]])
-        traj = theoretical_trajectory(CONST, params, A, np.array([0.05]),
+        traj = theoretical_trajectory(amplitude_table(CONST), params, A, np.array([0.05]),
                                       make_ground_truth(2, 6).w_star,
                                       LAM, 0.01, 2000)
         tail = traj.msd[100:]
@@ -308,9 +307,9 @@ class TestTrajectory:
         sz = np.full(4, 0.05)
         curves = {}
         for T in (4, 512):
-            prof = CyclostationaryProfile(kind="pulsed", period=T,
-                                          duty_cycle=0.5, v_low=2e-3, v_high=2.0)
-            curves[T] = theoretical_trajectory(prof, params, A, sz, w,
+            amplitude = amplitude_table(CyclostationaryProfile(
+                kind="pulsed", period=T, duty_cycle=0.5, v_low=2e-3, v_high=2.0), nodes=4)
+            curves[T] = theoretical_trajectory(amplitude, params, A, sz, w,
                                                LAM, 0.01, 4000).msd
         db = {T: 10 * np.log10(c[-2048:]) for T, c in curves.items()}
         swing = {T: db[T].max() - db[T].min() for T in db}
@@ -324,7 +323,7 @@ class TestTrajectory:
         profs = [CyclostationaryProfile(kind="pulsed", period=8, duty_cycle=0.5,
                                         v_low=2e-3, v_high=2.0, phase=p)
                  for p in (0, 2, 4)]
-        traj = theoretical_trajectory(profs, params, A, np.full(3, 0.05),
+        traj = theoretical_trajectory(amplitude_table(*profs), params, A, np.full(3, 0.05),
                                       make_ground_truth(2, 8).w_star,
                                       LAM, 0.01, 100)
         assert np.isfinite(traj.msd).all()
@@ -342,7 +341,8 @@ class TestTrajectory:
                 return out
             monkeypatch.setattr(theory, name, spy)
         A = build_combination_matrix(build_topology("ring", 3)).A
-        theoretical_trajectory(PULSED4, ColoredProcessParams(rho=0.5, length=2), A,
+        theoretical_trajectory(amplitude_table(PULSED4, nodes=3),
+                               ColoredProcessParams(rho=0.5, length=2), A,
                                np.full(3, 0.05), make_ground_truth(2, 1).w_star,
                                LAM, 0.01, 9)
         assert [len(v) for v in calls.values()] == [9] * 4
@@ -367,7 +367,7 @@ class TestTrajectory:
             return step(EPhi_prev, R_x_n, lam)
 
         monkeypatch.setattr(theory, "expected_phi_step", recording)
-        theoretical_trajectory(profs, params, A, np.full(3, 0.05),
+        theoretical_trajectory(amplitude_table(*profs), params, A, np.full(3, 0.05),
                                make_ground_truth(taps, 3).w_star,
                                LAM, 0.01, 2 * period)
         assert len(seen) == 2 * period
@@ -388,7 +388,8 @@ class TestTrajectory:
             return out
 
         monkeypatch.setattr(theory, "k_matrix_step", dipping)
-        args = (PULSED4, ColoredProcessParams(rho=0.5, length=L), A, np.full(K, 0.05),
+        args = (amplitude_table(PULSED4, nodes=K), ColoredProcessParams(rho=0.5, length=L),
+                A, np.full(K, 0.05),
                 make_ground_truth(L, 1).w_star, LAM, 0.01, 5)
         if breaks:
             with pytest.raises(TheoryError, match="semidefiniteness at n=1"):
@@ -398,10 +399,13 @@ class TestTrajectory:
             assert np.allclose(msd, -scale * theory.PSD_TOL, rtol=1e-12, atol=0)
 
     def test_profile_count_mismatch_rejected(self):
+        # the table needs one row per node, and a single row is not a table
         params = ColoredProcessParams(rho=0.5, length=2)
-        with pytest.raises(ValueError):
-            theoretical_trajectory([CONST], params, np.eye(2), np.full(2, 0.05),
-                                   make_ground_truth(2, 9).w_star, LAM, 0.01, 10)
+        for amplitude in (amplitude_table(CONST), amplitude_table(CONST, nodes=3),
+                          amplitude_table(CONST, nodes=2)[0]):
+            with pytest.raises(ValueError, match=r"expected a \(2, T\) amplitude table"):
+                theoretical_trajectory(amplitude, params, np.eye(2), np.full(2, 0.05),
+                                       make_ground_truth(2, 9).w_star, LAM, 0.01, 10)
 
 
 class TestFullScale:
