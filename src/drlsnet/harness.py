@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import detrend
 
 from .filters import (DrlsNetworkState, NodeFilterState, drls_iteration,
                       init_state, rls_iteration, update_inverse_correlation)
@@ -166,6 +165,10 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         states = {"rls": NodeFilterState(np.zeros((B, K, L)), P),
                   "drls": DrlsNetworkState(NodeFilterState(np.zeros((B, K, L)), P), A)}
         bad_at = np.full(B, -1, dtype=int)  # iteration of a run's first trip
+        # entrywise |P_n| <= |P_{n-1}| / lam + max_i u_i^2, so each run keeps
+        # a bound on max |P| and P is scanned only once a live run's bound
+        # passes guard/2 (the 2 covers the bound's own rounding)
+        bound = np.full(B, 1.0 / delta)
         dev_sq = {a: np.empty((B, N)) for a in algos}
         err_traj = np.empty((B, N, K, L)) if keep_err else None
 
@@ -174,10 +177,12 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
             if j == 0:
                 next_block(n)
             gain = update_inverse_correlation(P, X[j], lam, work)
-            # NaN and +-inf trip too: no comparison with NaN is true
-            trip = ~(np.maximum(P.max(axis=(-3, -2, -1)),
-                                -P.min(axis=(-3, -2, -1))) <= guard)
-            bad_at[trip & (bad_at < 0)] = n + 1
+            # work holds u u^T; NaN and +-inf fail every comparison, so a
+            # non-finite bound or P trips at the iteration it appears
+            bound = bound / lam + work.diagonal(0, -2, -1).max(axis=(-2, -1))
+            if not (bound[bad_at < 0] <= guard / 2).all():
+                bound = np.maximum(P.max(axis=(-3, -2, -1)), -P.min(axis=(-3, -2, -1)))
+                bad_at[~(bound <= guard) & (bad_at < 0)] = n + 1
             for a in algos:
                 w = iterate[a](states[a], X[j], d[j], gain)
                 dev = w - truth.w_star
@@ -260,6 +265,16 @@ def compare_theory_empirical(traj: Trajectory, *, algorithm: str = "drls",
     }
 
 
+def _linear_detrend(seg: np.ndarray) -> np.ndarray:
+    """seg minus its least-squares line, fitted on the design [(1..S)/S, 1]
+    with seg as one column."""
+    S = seg.size
+    design = np.ones((S, 2))
+    design[:, 0] = np.arange(1, S + 1) / S
+    col = seg[:, None]
+    return (col - design @ np.linalg.lstsq(design, col, rcond=None)[0])[:, 0]
+
+
 def detect_periodicity(curve: np.ndarray, T: int, *,
                        steady_window: int | None = None) -> float:
     """Fraction of steady-state fluctuation energy at period T and harmonics.
@@ -276,7 +291,7 @@ def detect_periodicity(curve: np.ndarray, T: int, *,
     S = (window // T) * T
     if S < 3 * T:
         raise ValueError(f"window must cover >= 3 periods of T={T}")
-    seg = detrend(curve[-S:], type="linear")
+    seg = _linear_detrend(curve[-S:])
     spectrum = np.abs(np.fft.rfft(seg)) ** 2
     total = spectrum[1:].sum()
     # fluctuation at the level of float rounding is flat, not periodic

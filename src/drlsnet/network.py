@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 STOCHASTIC_TOL = 1e-12
 
@@ -35,8 +34,11 @@ class Topology:
             raise TopologyError("adjacency must be symmetric")
         if not adj.diagonal().all():
             raise TopologyError("every node must be its own neighbor")
-        _, labels = connected_components(adj, directed=False)
-        outside = np.flatnonzero(labels != labels[0]).tolist()
+        # grow the set reachable from node 0 by one hop per pass
+        reached = adj[0]
+        while not np.array_equal(grown := adj[reached].any(axis=0), reached):
+            reached = grown
+        outside = np.flatnonzero(~reached).tolist()
         if outside:
             raise TopologyError(f"graph is disconnected; nodes unreachable from 0: {outside}")
         object.__setattr__(self, "adjacency", adj)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.signal import lfilter
 
 
 @dataclass(frozen=True)
@@ -114,22 +112,31 @@ def make_ground_truth(L: int, seed) -> GroundTruth:
 
 def colored_autocorrelation(params: ColoredProcessParams) -> np.ndarray:
     """R_u with entries rho**|i-j| (unit-variance AR(1)); Toeplitz SPD."""
-    return toeplitz(params.rho ** np.arange(params.length))
+    lags = np.arange(params.length)
+    return (params.rho ** lags)[np.abs(lags[:, None] - lags[None, :])]
 
 
 class SignalCarry(NamedTuple):
     """What a node-run's next block of signals continues from."""
 
-    zf: np.ndarray      # AR(1) filter state after the last raw sample
+    last_u: float       # the last raw AR(1) sample u
     tail: np.ndarray    # the last L-1 scaled samples, oldest first
     next_time: int      # time index of the next sample to generate
 
 
-def _ar1(innov: np.ndarray, rho: float, zi) -> tuple[np.ndarray, np.ndarray]:
-    """Continue u_n = rho u_{n-1} + sqrt(1-rho^2) w_n from state zi = rho u_prev."""
-    if innov.size == 0:  # lfilter's final state is undefined on empty input
-        return innov, np.asarray(zi, dtype=float)
-    return lfilter([math.sqrt(1.0 - rho ** 2)], [1.0, -rho], innov, zi=zi)
+def _ar1(innov: np.ndarray, rho: float, u: float) -> np.ndarray:
+    """Continue u_n = rho u_{n-1} + sqrt(1-rho^2) w_n from the raw sample u.
+
+    Each sample is rounded as fl(fl(rho u_{n-1}) + fl(c w_n)), the way a
+    first-order IIR filter section rounds it, in one pass over the block.
+    """
+    cw = (math.sqrt(1.0 - rho ** 2) * innov).tolist()
+
+    def recursion(u):
+        for v in cw:
+            u = rho * u + v
+            yield u
+    return np.fromiter(recursion(u), float, len(cw))
 
 
 def generate_node_signals(amplitude: np.ndarray,
@@ -150,17 +157,16 @@ def generate_node_signals(amplitude: np.ndarray,
     from one stationary N(0, 1) draw, and warm-up covers times 2-L .. 0
     so X[0] is fully formed.  Feeding each block's carry, with the same
     two generators, into the next call yields exactly the samples of one
-    call over all the iterations: the draws and the filter state chain.
+    call over all the iterations: the draws and the AR state chain.
     """
     L, rho = params.length, params.rho
     if carry is None:
         start, tail = 2 - L, np.empty(0)
         innov = rng_u.standard_normal(n_iters + L - 1)
-        u_rest, zf = _ar1(innov[1:], rho, [rho * innov[0]])
-        u = np.concatenate((innov[:1], u_rest))
+        u = np.concatenate((innov[:1], _ar1(innov[1:], rho, float(innov[0]))))
     else:
         start, tail = carry.next_time, carry.tail
-        u, zf = _ar1(rng_u.standard_normal(n_iters), rho, carry.zf)
+        u = _ar1(rng_u.standard_normal(n_iters), rho, carry.last_u)
     times = np.arange(start, start + u.size)
     scaled = np.concatenate((tail, amplitude[times % amplitude.size] * u))
     # row j is the window ending at the block's j-th iteration, newest tap
@@ -171,4 +177,4 @@ def generate_node_signals(amplitude: np.ndarray,
                    strides=(step, -step))
     d = X @ truth.w_star + sigma_z * rng_z.standard_normal(n_iters)
     return (np.ascontiguousarray(X), d,
-            SignalCarry(zf, scaled[scaled.size - L + 1:].copy(), start + u.size))
+            SignalCarry(float(u[-1]), scaled[scaled.size - L + 1:].copy(), start + u.size))

@@ -126,8 +126,8 @@ def theoretical_trajectory(amplitude: np.ndarray,
 
     `amplitude` is the (K, T) table of sigma_x: row k holds node k's
     sigma_x(n) for n = 0..T-1.  Raises TheoryError if an E{Phi_n} block
-    is singular or K_n loses positive semidefiniteness beyond PSD_TOL
-    relative to its scale.
+    is singular, tr(K_n)/K or ||E{werr_n}|| is not finite, or K_n loses
+    positive semidefiniteness beyond PSD_TOL relative to its scale.
     """
     K = A.shape[0]
     L = params.length
@@ -149,8 +149,12 @@ def theoretical_trajectory(amplitude: np.ndarray,
         Kmat = k_matrix_step(Kmat, B, EPhi_n, A, lam, noise_variances, R_x_n)
         EPhi = EPhi_n
         m = network_msd(Kmat)
+        e = float(np.linalg.norm(mean_err))
+        if not (np.isfinite(m) and np.isfinite(e)):
+            raise TheoryError(f"theory recursions not finite at n={n}: tr/K={m:.3e}, "
+                              f"||E{{werr}}||={e:.3e}")
         if m < -PSD_TOL * max(1.0, abs(m)):
             raise TheoryError(f"K_n lost positive semidefiniteness at n={n}: tr/K={m:.3e}")
         msd[n - 1] = m
-        err_norm[n - 1] = np.linalg.norm(mean_err)
+        err_norm[n - 1] = e
     return TheoryTrajectory(msd=msd, mean_err_norm=err_norm)

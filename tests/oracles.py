@@ -1,7 +1,17 @@
-"""Reference computations that the package does not need but the tests check it against."""
+"""Reference computations that the package does not need but the tests check it against.
+
+The scipy-based ones are the calls the package made before it depended
+on numpy alone; its own versions must match them bit for bit.
+"""
+
+import math
 
 import numpy as np
+from scipy.linalg import toeplitz
+from scipy.signal import detrend, lfilter
+from scipy.sparse.csgraph import connected_components
 
+from drlsnet.filters import init_state, update_inverse_correlation
 from drlsnet.signals import colored_autocorrelation, sigma_at
 
 
@@ -16,3 +26,59 @@ def input_covariance(profile, params, n: int) -> np.ndarray:
     """R_x(n) = Sigma_x(n) R_u Sigma_x(n), Sigma_x(n) = diag(sigma_x(n-i)), for one n."""
     s = sigma_at(profile, n - np.arange(params.length))
     return colored_autocorrelation(params) * np.outer(s, s)
+
+
+def lfilter_ar1(innov: np.ndarray, rho: float, zi) -> tuple[np.ndarray, np.ndarray]:
+    """u_n = rho u_{n-1} + sqrt(1-rho^2) w_n as a first-order IIR filter,
+    continued from the filter state zi = [rho u_prev]; returns (u, final state)."""
+    if innov.size == 0:  # lfilter's final state is undefined on empty input
+        return innov, np.asarray(zi, dtype=float)
+    return lfilter([math.sqrt(1.0 - rho ** 2)], [1.0, -rho], innov, zi=zi)
+
+
+def lfilter_raw_samples(rng: np.random.Generator, rho: float, L: int,
+                        blocks: list[int]) -> np.ndarray:
+    """One node's raw AR(1) samples at times 2-L .. N, drawn from `rng` as
+    the generator draws them for blocks of the given iteration counts: the
+    first block's first draw is the stationary start, and the filter state
+    chains from block to block."""
+    innov = rng.standard_normal(blocks[0] + L - 1)
+    rest, zf = lfilter_ar1(innov[1:], rho, [rho * innov[0]])
+    parts = [innov[:1], rest]
+    for size in blocks[1:]:
+        u, zf = lfilter_ar1(rng.standard_normal(size), rho, zf)
+        parts.append(u)
+    return np.concatenate(parts)
+
+
+def toeplitz_autocorrelation(rho: float, L: int) -> np.ndarray:
+    """R_u as the symmetric Toeplitz matrix of rho**(0..L-1)."""
+    return toeplitz(rho ** np.arange(L))
+
+
+def linear_detrend(seg: np.ndarray) -> np.ndarray:
+    """seg minus its least-squares line."""
+    return detrend(seg, type="linear")
+
+
+def unreachable_from_0(adj: np.ndarray) -> list[int]:
+    """Nodes outside node 0's connected component, in index order."""
+    _, labels = connected_components(adj, directed=False)
+    return np.flatnonzero(labels != labels[0]).tolist()
+
+
+def every_step_trips(X: np.ndarray, lam: float, delta: float,
+                     guard: float) -> list[tuple[int, int]]:
+    """(run, iteration of its first trip) for every run whose P passes the
+    guard, checking max |P| at every step; X has shape (N, R, K, L)."""
+    N, R, K, L = X.shape
+    P = init_state(L, delta, batch_shape=(R, K)).P
+    work = np.empty_like(P)
+    bad_at = np.full(R, -1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in range(N):
+            update_inverse_correlation(P, X[n], lam, work)
+            trip = ~(np.maximum(P.max(axis=(-3, -2, -1)),
+                                -P.min(axis=(-3, -2, -1))) <= guard)
+            bad_at[trip & (bad_at < 0)] = n + 1
+    return [(r, int(bad_at[r])) for r in range(R) if bad_at[r] >= 0]

@@ -352,6 +352,16 @@ class TestMain:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
         assert "positive semidefiniteness" in capsys.readouterr().err
 
+    def test_non_finite_theory_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        # a theory-only run whose K_n turns NaN writes no CSV and exits 2
+        path = tmp_path / "c.ini"
+        write_ini(path, {**SMALL, "algorithm": {"algorithms": ""}})
+        monkeypatch.setattr(theory, "k_matrix_step",
+                            lambda prev, *args: np.full_like(prev, np.nan))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+        assert "not finite at n=1" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     def test_guard_exclusions_are_numeric_failure(self, tmp_path, capsys):
         # P_0 = I/delta = 100*I, so every run passes a guard of 50 at iteration 1
         path = tmp_path / "c.ini"

@@ -14,7 +14,7 @@ from drlsnet.network import (CombinationMatrix, build_combination_matrix,
                              build_topology, draw_noise_variances)
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
                              generate_node_signals, make_ground_truth)
-from oracles import amplitude_table
+from oracles import amplitude_table, every_step_trips, linear_detrend
 
 CONST = CyclostationaryProfile(kind="constant", level=1.0)
 FAINT = amplitude_table(CyclostationaryProfile(kind="constant", level=0.003), nodes=3)
@@ -69,16 +69,10 @@ def blas_combine(A, psi):
     return np.matmul(A.T, psi)
 
 
-def independent_states_msd(comb, nv, amplitude, params, lam, delta, spec,
-                           step=blas_step, mix=blas_combine):
-    """MSD curves from a loop that gives every algorithm its own P.
-
-    Draws the signals through run_ensemble's seed layout and reduces in
-    run order.  With the default step and combine, the package's
-    arithmetic, the curves must equal run_ensemble's bit for bit.
-    """
-    A = comb.A
-    K, L, N, R = A.shape[0], params.length, spec.iterations, spec.runs
+def ensemble_signals(comb, nv, amplitude, params, spec):
+    """(truth, X, d) for every run, drawn through run_ensemble's seed layout
+    in one block per node-run: X of shape (N, R, K, L), d of shape (N, R, K)."""
+    K, L, N, R = comb.A.shape[0], params.length, spec.iterations, spec.runs
     children = np.random.SeedSequence(spec.master_seed).spawn(1 + R)
     truth = make_ground_truth(L, children[0])
     sigma_z = np.sqrt(nv)
@@ -90,6 +84,20 @@ def independent_states_msd(comb, nv, amplitude, params, lam, delta, spec,
             X[:, r, k], d[:, r, k], _ = generate_node_signals(
                 amplitude[k], params, truth, sigma_z[k], N,
                 np.random.default_rng(ss_u), np.random.default_rng(ss_z))
+    return truth, X, d
+
+
+def independent_states_msd(comb, nv, amplitude, params, lam, delta, spec,
+                           step=blas_step, mix=blas_combine):
+    """MSD curves from a loop that gives every algorithm its own P.
+
+    Draws the signals through run_ensemble's seed layout and reduces in
+    run order.  With the default step and combine, the package's
+    arithmetic, the curves must equal run_ensemble's bit for bit.
+    """
+    A = comb.A
+    K, L, N, R = A.shape[0], params.length, spec.iterations, spec.runs
+    truth, X, d = ensemble_signals(comb, nv, amplitude, params, spec)
     msd = {}
     for algo in spec.algorithms:
         P = np.broadcast_to(np.eye(L) / delta, (R, K, L, L)).copy()
@@ -117,11 +125,13 @@ def load_spans():
     return module
 
 
-def run_with_bad_regressor(monkeypatch, bad_value, bad_iteration, block_iterations=None):
-    """3 runs x 20 iterations on 3 nodes, L=2, with the regressor of run 1,
-    node 0 at `bad_iteration` replaced by `bad_value` where the harness
-    receives it: in the result of its per-block generate_node_signals call."""
-    K, R, L = 3, 3, 2
+def inject_bad_regressor(monkeypatch, R, K, L, bad_value, bad_iteration,
+                         block_iterations=None) -> list:
+    """Replace the regressor of run 1, node 0 at `bad_iteration` by
+    `bad_value` where the harness receives it: in the result of its
+    per-block generate_node_signals call, with all R runs in one chunk and
+    signal blocks of `block_iterations` (default: one block).  Returns the
+    list that gets one entry per call."""
     if block_iterations is not None:
         monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", block_iterations * R * K * L)
     generate = drlsnet.harness.generate_node_signals
@@ -138,6 +148,15 @@ def run_with_bad_regressor(monkeypatch, bad_value, bad_iteration, block_iteratio
         return X, d, carry
 
     monkeypatch.setattr(drlsnet.harness, "generate_node_signals", corrupted)
+    return calls
+
+
+def run_with_bad_regressor(monkeypatch, bad_value, bad_iteration, block_iterations=None):
+    """3 runs x 20 iterations on 3 nodes, L=2, with the regressor of run 1,
+    node 0 at `bad_iteration` replaced by `bad_value` (inject_bad_regressor)."""
+    K, R, L = 3, 3, 2
+    calls = inject_bad_regressor(monkeypatch, R, K, L, bad_value, bad_iteration,
+                                 block_iterations)
     monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
     comb, nv = desk_network(K)
     spec = EnsembleSpec(runs=R, iterations=20, master_seed=5)
@@ -325,6 +344,44 @@ class TestRunEnsemble:
         for algo in ("rls", "drls"):
             assert np.isfinite(traj.msd_empirical[algo]).all()
 
+    @pytest.mark.parametrize("guard, delta, N", [
+        (50.0, 0.05, 192), (200.0, 0.01, 170), (440.0, 0.01, 400), (1e12, 0.01, 400)])
+    def test_bounded_trip_check_matches_every_step_check(self, monkeypatch, guard, delta, N):
+        # P is scanned only when its running bound nears the guard; the runs
+        # lost and the iterations they are lost at are those of a scan at
+        # every step (each case but the last cuts off some runs mid-climb)
+        monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
+        monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 3)
+        monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", 3 * 3 * 2 * 64)
+        comb, nv = desk_network(3)
+        params = ColoredProcessParams(rho=0.8, length=2)
+        spec = EnsembleSpec(runs=8, iterations=N, master_seed=21)
+        want = every_step_trips(ensemble_signals(comb, nv, FAINT, params, spec)[1],
+                                0.995, delta, guard)
+        assert (len(want) == 0) == (guard == 1e12) and len(want) < 8
+        traj = run_ensemble(comb, nv, FAINT, params, 0.995, delta, spec, guard=guard,
+                            include_theory=False)
+        assert traj.excluded_runs == {"rls": want, "drls": want}
+
+    def test_bounded_trip_check_catches_nan_mid_block(self, monkeypatch):
+        # the pinned mid-run case with a NaN regressor at run 1, node 0,
+        # iteration 150, row 21 of the third 64-iteration block: run 1 is
+        # lost there, the other runs where the every-step scan loses them
+        K, R, L, N = 3, 8, 2, 400
+        inject_bad_regressor(monkeypatch, R, K, L, np.nan, 150, block_iterations=64)
+        monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
+        comb, nv = desk_network(K)
+        params = ColoredProcessParams(rho=0.8, length=L)
+        spec = EnsembleSpec(runs=R, iterations=N, master_seed=21)
+        X = ensemble_signals(comb, nv, FAINT, params, spec)[1]
+        X[150 - 1, 1, 0] = np.nan
+        want = every_step_trips(X, 0.995, 0.01, 440.0)
+        assert (1, 150) in want
+        with np.errstate(invalid="ignore"):
+            traj = run_ensemble(comb, nv, FAINT, params, 0.995, 0.01, spec, guard=440.0,
+                                include_theory=False)
+        assert traj.excluded_runs == {"rls": want, "drls": want}
+
     @pytest.mark.parametrize("algorithms", [("rls", "drls"), ("rls",), ("drls",)])
     def test_shared_recursion_matches_independent_states(self, monkeypatch, algorithms):
         monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 2)
@@ -478,6 +535,21 @@ class TestDetectPeriodicity:
         n = np.arange(4096)
         curve = np.where((n % 64) < 32, 1.0, -1.0)
         assert detect_periodicity(curve, 64) > 0.95
+
+    def test_detrend_matches_scipy(self):
+        # random walks at scales 1e-5..1e5 with offsets, and dB curves that
+        # decay into a periodic ripple, as the detector gets them
+        rng = np.random.default_rng(0)
+        n = np.arange(3000)
+        for _ in range(50):
+            S = int(rng.integers(12, 5000))
+            walk = (rng.standard_normal(S).cumsum() * 10 ** rng.uniform(-5, 5)
+                    + rng.uniform(-100, 100))
+            msd = to_db(np.exp(-n / rng.uniform(50, 500)) + 1e-3
+                        * (1 + 0.5 * np.sin(2 * np.pi * n / 32)) + 1e-4 * rng.random(n.size))
+            for seg in (walk, msd[-S:]):
+                assert np.array_equal(drlsnet.harness._linear_detrend(seg),
+                                      linear_detrend(seg))
 
 
 def test_benchmark_tracer_records_both_filter_spans():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from drlsnet.network import (STOCHASTIC_TOL, CombinationMatrix, Topology,
                              TopologyError, build_combination_matrix,
                              build_topology, draw_noise_variances)
+from oracles import unreachable_from_0
 
 
 def validate_left_stochastic(A: np.ndarray) -> dict:
@@ -63,6 +64,25 @@ class TestBuildTopology:
         with pytest.raises(TopologyError, match=r"unreachable.*\[2, 3\]"):
             Topology(np.array([[1, 1, 0, 0], [1, 1, 0, 0],
                                [0, 0, 1, 1], [0, 0, 1, 1]], dtype=bool))
+
+    def test_reachability_matches_connected_components(self):
+        # sparse random graphs, connected and not: the same graphs are
+        # rejected, naming the same nodes
+        rng = np.random.default_rng(0)
+        rejected = 0
+        for _ in range(300):
+            K = int(rng.integers(2, 25))
+            upper = np.triu(rng.random((K, K)) < rng.uniform(0.0, 0.4), 1)
+            adj = upper | upper.T | np.eye(K, dtype=bool)
+            outside = unreachable_from_0(adj)
+            if outside:
+                rejected += 1
+                with pytest.raises(TopologyError) as exc:
+                    Topology(adj)
+                assert str(exc.value).endswith(f"unreachable from 0: {outside}")
+            else:
+                Topology(adj)
+        assert 50 < rejected < 250
 
     def test_too_few_nodes(self):
         with pytest.raises(TopologyError):

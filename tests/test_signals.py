@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
                              GroundTruth, colored_autocorrelation,
                              generate_node_signals, make_ground_truth, sigma_at)
-from oracles import amplitude_table, input_covariance
+from oracles import (amplitude_table, input_covariance, lfilter_raw_samples,
+                     toeplitz_autocorrelation)
 
 PULSED = CyclostationaryProfile(kind="pulsed", period=4, duty_cycle=0.5,
                                 v_low=2e-3, v_high=2.0)
@@ -210,6 +211,13 @@ class TestAutocorrelation:
         R = colored_autocorrelation(params)
         assert np.abs(sample_cov - R).max() < 0.02
 
+    def test_matches_toeplitz(self):
+        for rho in (0.0, 0.3, 0.8, 0.99):
+            for L in range(1, 65):
+                assert np.array_equal(
+                    colored_autocorrelation(ColoredProcessParams(rho=rho, length=L)),
+                    toeplitz_autocorrelation(rho, L))
+
     @settings(max_examples=30, deadline=None)
     @given(rho=st.floats(0.0, 0.99), L=st.integers(1, 64))
     def test_positive_definite(self, rho, L):
@@ -361,4 +369,31 @@ def test_blockwise_generation_is_bit_identical(profile, L, block):
     assert carry.next_time == want_carry.next_time == N + 1
     assert np.array_equal(carry.tail, want_carry.tail)
     assert carry.tail.shape == (L - 1,)
-    assert np.array_equal(carry.zf, want_carry.zf)
+    assert carry.last_u == want_carry.last_u
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.8])
+@pytest.mark.parametrize("L, blocks", [
+    (1, [1, 1, 5]),                  # one-iteration first block at L=1
+    (1, list(range(1, 601))),        # every block length from 1 to 600
+    (3, [1, 2, 3]),
+    (8, [201, 600, 520, 7]),
+], ids=["L1-first1", "L1-1to600", "L3-short", "L8-long"])
+def test_ar1_matches_lfilter_over_chained_blocks(rho, L, blocks):
+    # the recursion written out rounds every sample as the first-order IIR
+    # filter did, and its carried state continues it exactly
+    params = ColoredProcessParams(rho=rho, length=L)
+    truth = make_ground_truth(L, 1)
+    rng_u, rng_z = np.random.default_rng(3), np.random.default_rng(4)
+    carry, rows = None, []
+    for size in blocks:
+        X, _, carry = generate_node_signals(np.ones(1), params, truth, 0.0, size,
+                                            rng_u, rng_z, carry)
+        rows.append(X)
+    X = np.concatenate(rows)
+    # with sigma_x = 1 the regressors hold the raw samples: the first row
+    # times 2-L .. 1, newest first, and each later row one new sample
+    raw = np.concatenate((X[0, ::-1], X[1:, 0]))
+    want = lfilter_raw_samples(np.random.default_rng(3), rho, L, blocks)
+    assert np.array_equal(raw, want)
+    assert carry.last_u == want[-1]

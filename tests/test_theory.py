@@ -398,6 +398,19 @@ class TestTrajectory:
             msd = theoretical_trajectory(*args).msd
             assert np.allclose(msd, -scale * theory.PSD_TOL, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("step", ["k_matrix_step", "mean_error_step"])
+    def test_non_finite_recursion_is_an_error(self, monkeypatch, step):
+        # a NaN K_n gives a NaN tr/K, which no comparison rejects, and a
+        # NaN mean error a NaN norm: both stop the trajectory at n=1
+        K, L = 3, 2
+        A = build_combination_matrix(build_topology("ring", K)).A
+        monkeypatch.setattr(theory, step, lambda prev, *args: np.full_like(prev, np.nan))
+        with pytest.raises(TheoryError, match="not finite at n=1"):
+            theoretical_trajectory(amplitude_table(PULSED4, nodes=K),
+                                   ColoredProcessParams(rho=0.5, length=L), A,
+                                   np.full(K, 0.05), make_ground_truth(L, 1).w_star,
+                                   LAM, 0.01, 5)
+
     def test_profile_count_mismatch_rejected(self):
         # the table needs one row per node, and a single row is not a table
         params = ColoredProcessParams(rho=0.5, length=2)
