@@ -14,12 +14,8 @@ tolerance is asserted here -- the gating checks live in
 tests/test_acceptance.py at desk scale.
 
 Measured on a 2-core x86-64 host with one BLAS thread: one period takes
-50-52 s at --runs 3 (2.6 min for all three periods).  From an earlier
-version, not re-measured: 60 s per period at --runs 12, of which the
-6000-step theory is 53-57 s; the Monte Carlo adds about 0.6 s per run
-(7.1 s for 12 runs on their own).  Scaled linearly to the default 100
-runs that is about 2 minutes per period, 6 minutes for all three.  Use
---runs to trade Monte Carlo noise for speed.
+50-52 s at --runs 3 (2.6 min for all three periods).  Use --runs to
+trade Monte Carlo noise for speed.
 """
 
 import argparse

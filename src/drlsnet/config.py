@@ -18,7 +18,7 @@ import numpy as np
 from .harness import EnsembleSpec
 from .network import (CombinationMatrix, build_combination_matrix, build_topology,
                       draw_noise_variances)
-from .signals import ColoredProcessParams, CyclostationaryProfile, sigma_at
+from .signals import ColoredProcessParams, sigma_table
 
 
 class ConfigError(ValueError):
@@ -150,11 +150,10 @@ class ExperimentConfig:
         phases = [sig["phase"]] * K if sig["phases"] is None else sig["phases"]
         if len(phases) != K:
             raise ConfigError("signal.phases: need one phase per node")
-        profiles = [CyclostationaryProfile(
-            kind=sig["profile"], period=sig["period"], duty_cycle=sig["duty_cycle"],
-            v_low=sig["v_low"], v_high=sig["v_high"], level=sig["level"],
-            mod_depth=sig["mod_depth"], phase=p) for p in phases]
-        return np.stack([sigma_at(p, np.arange(p.period)) for p in profiles])
+        return sigma_table(sig["profile"], sig["period"], phases,
+                           duty_cycle=sig["duty_cycle"], v_low=sig["v_low"],
+                           v_high=sig["v_high"], level=sig["level"],
+                           mod_depth=sig["mod_depth"])
 
     def process_params(self) -> ColoredProcessParams:
         sig = self.values["signal"]
@@ -236,9 +235,11 @@ def _sections(parser: configparser.ConfigParser) -> dict[str, dict[str, str]]:
 def parse_config(path) -> ExperimentConfig:
     """Read and validate a sectioned key/value config file."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     return resolve_config(_sections(parser), source=str(path))
 
 

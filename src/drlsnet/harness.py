@@ -120,7 +120,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         raise ValueError(f"expected a ({K}, T) amplitude table, got {np.shape(amplitude)}")
 
     children = np.random.SeedSequence(spec.master_seed).spawn(1 + R)
-    truth = make_ground_truth(L, children[0])
+    w_star = make_ground_truth(L, children[0])
     sigma_z = np.sqrt(noise_variances)
 
     algos = [a for a in ALGORITHMS if a in spec.algorithms]
@@ -153,7 +153,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
             for s in streams:
                 k, x_k, d_k, rng_u, rng_z, carry = s
                 x_k[:size], d_k[:size], s[5] = generate_node_signals(
-                    amplitude[k], params, truth, sigma_z[k], size, rng_u, rng_z, carry)
+                    amplitude[k], params, w_star, sigma_z[k], size, rng_u, rng_z, carry)
 
         # P_{k,n} depends only on node k's regressors, lam and delta, so
         # the selected algorithms share one recursion and its gain
@@ -185,7 +185,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                 bad_at[~(bound <= guard) & (bad_at < 0)] = n + 1
             for a in algos:
                 w = iterate[a](states[a], X[j], d[j], gain)
-                dev = w - truth.w_star
+                dev = w - w_star
                 dev_sq[a][:, n] = np.einsum("bki,bki->b", dev, dev)
                 if keep_err and a == "drls":
                     err_traj[:, n] = dev
@@ -220,17 +220,15 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
 
     msd_theory = mean_err_norm_theory = None
     if include_theory:
-        theory = theoretical_trajectory(amplitude, params, A, noise_variances,
-                                        truth.w_star, lam, delta, N)
-        msd_theory = theory.msd
-        mean_err_norm_theory = theory.mean_err_norm
+        msd_theory, mean_err_norm_theory = theoretical_trajectory(
+            amplitude, params, A, noise_variances, w_star, lam, delta, N)
 
     return Trajectory(
         iterations=N, master_seed=spec.master_seed,
         msd_empirical=msd_empirical, msd_theory=msd_theory,
         mean_err_norm_theory=mean_err_norm_theory,
         mean_err_norm_empirical=mean_err_norm_emp,
-        w_star=truth.w_star.copy(), snapshots=snapshots,
+        w_star=w_star.copy(), snapshots=snapshots,
         excluded_runs={a: list(excluded) for a in algos},
         runs_effective={a: runs_effective for a in algos})
 

@@ -6,7 +6,8 @@ The raw colored sequence u_n is AR(1) with unit stationary variance,
 
 and the regressor tap at lag i is the raw sample scaled by the periodic
 amplitude of its own time index, x_{n-i} = sigma_x(n-i) * u_{n-i}, read
-from one period of sigma_x evaluated once: sigma_x(n) = row[n % T].
+from the (K, T) table `sigma_table` builds once: sigma_x(n) = row[n % T].
+The desired response is d_n = x_n^T w_star + z_n, w_star a read-only array.
 """
 
 from __future__ import annotations
@@ -18,61 +19,40 @@ from typing import NamedTuple
 import numpy as np
 
 
-@dataclass(frozen=True)
-class CyclostationaryProfile:
-    """Deterministic periodic amplitude sequence sigma_x(n) with period T.
+def sigma_table(kind: str, period: int, phases, *, duty_cycle: float, v_low: float,
+                v_high: float, level: float, mod_depth: float) -> np.ndarray:
+    """(K, T) table of sigma_x(n), n = 0..T-1: row k is node k's, shifted by `phases[k]`.
 
     kinds:
       - "constant": sigma_x(n) = level
       - "pulsed": v_high for the first ceil(duty_cycle*T) samples of each
-        period (shifted by `phase`), v_low for the rest
+        period (shifted by the phase), v_low for the rest
       - "sinusoidal": level * (1 + mod_depth * sin(2*pi*(n - phase)/T))
+
+    The phase-0 row is evaluated once; row k is it read at (n - phases[k]) mod T.
     """
-
-    kind: str = "constant"
-    period: int = 1
-    duty_cycle: float = 0.5
-    v_low: float = 1.0
-    v_high: float = 1.0
-    level: float = 1.0
-    mod_depth: float = 0.0
-    phase: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "pulsed", "sinusoidal"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.period < 1:
-            raise ValueError("period must be a positive integer")
-        if self.kind == "constant" and self.level <= 0:
-            raise ValueError("constant level must be positive")
-        if self.kind == "pulsed":
-            if not 0 < self.duty_cycle < 1:
-                raise ValueError("duty cycle must lie in (0, 1)")
-            if not 0 < self.v_low < self.v_high:
-                raise ValueError("need 0 < v_low < v_high")
-        if self.kind == "sinusoidal":
-            if self.level <= 0 or not 0 <= self.mod_depth < 1:
-                raise ValueError("need level > 0 and 0 <= mod_depth < 1")
-
-
-def sigma_at(profile: CyclostationaryProfile, n) -> np.ndarray | float:
-    """Amplitude sigma_x(n); exactly period-T periodic, vectorized over n.
-
-    Negative n is extended periodically so regressor taps before the
-    first iteration are well defined.
-    """
-    n = np.asarray(n)
-    if profile.kind == "constant":
-        out = np.full(n.shape, profile.level)
-    elif profile.kind == "pulsed":
-        pos = (n - profile.phase) % profile.period
-        high = pos < math.ceil(profile.duty_cycle * profile.period)
-        out = np.where(high, profile.v_high, profile.v_low)
+    if kind not in ("constant", "pulsed", "sinusoidal"):
+        raise ValueError(f"unknown profile kind {kind!r}")
+    if period < 1:
+        raise ValueError("period must be a positive integer")
+    if kind == "constant" and level <= 0:
+        raise ValueError("constant level must be positive")
+    if kind == "pulsed":
+        if not 0 < duty_cycle < 1:
+            raise ValueError("duty cycle must lie in (0, 1)")
+        if not 0 < v_low < v_high:
+            raise ValueError("need 0 < v_low < v_high")
+    if kind == "sinusoidal":
+        if level <= 0 or not 0 <= mod_depth < 1:
+            raise ValueError("need level > 0 and 0 <= mod_depth < 1")
+    n = np.arange(period)
+    if kind == "constant":
+        row = np.full(period, level)
+    elif kind == "pulsed":
+        row = np.where(n < math.ceil(duty_cycle * period), v_high, v_low)
     else:
-        out = profile.level * (1.0 + profile.mod_depth
-                               * np.sin(2.0 * np.pi * ((n - profile.phase) % profile.period)
-                                        / profile.period))
-    return out if out.ndim else float(out)
+        row = level * (1.0 + mod_depth * np.sin(2.0 * np.pi * n / period))
+    return row[(n - np.asarray(phases)[:, None]) % period]
 
 
 @dataclass(frozen=True)
@@ -89,25 +69,13 @@ class ColoredProcessParams:
             raise ValueError("taps (filter length L) must be >= 1")
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Target weight vector with unit squared norm."""
-
-    w_star: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w_star, dtype=float)
-        if abs(w @ w - 1.0) > 1e-12:
-            raise ValueError("ground truth must have unit squared norm")
-        object.__setattr__(self, "w_star", w)
-        self.w_star.setflags(write=False)
-
-
-def make_ground_truth(L: int, seed) -> GroundTruth:
-    """Standard-normal entries damped by 0.5**i, normalized to unit ||.||^2."""
+def make_ground_truth(L: int, seed) -> np.ndarray:
+    """Read-only w_star: standard-normal entries damped by 0.5**i, unit ||.||^2."""
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(L) * 0.5 ** np.arange(L)
-    return GroundTruth(w / np.linalg.norm(w))
+    w /= np.linalg.norm(w)
+    w.setflags(write=False)
+    return w
 
 
 def colored_autocorrelation(params: ColoredProcessParams) -> np.ndarray:
@@ -141,7 +109,7 @@ def _ar1(innov: np.ndarray, rho: float, u: float) -> np.ndarray:
 
 def generate_node_signals(amplitude: np.ndarray,
                           params: ColoredProcessParams,
-                          truth: GroundTruth, sigma_z: float,
+                          w_star: np.ndarray, sigma_z: float,
                           n_iters: int,
                           rng_u: np.random.Generator,
                           rng_z: np.random.Generator,
@@ -151,7 +119,7 @@ def generate_node_signals(amplitude: np.ndarray,
 
     `amplitude` is the node's sigma_x(n) for n = 0..T-1, one period.
     Returns (X, d, carry): X[j] is the regressor at the block's j-th
-    iteration, shape (n_iters, L), d the desired responses, shape
+    iteration, shape (n_iters, L), d = X w_star + sigma_z * z, shape
     (n_iters,), and carry what the next block continues from.  With
     `carry=None` the block starts at iteration 1: the AR recursion runs
     from one stationary N(0, 1) draw, and warm-up covers times 2-L .. 0
@@ -175,6 +143,6 @@ def generate_node_signals(amplitude: np.ndarray,
     step = scaled.itemsize
     X = np.ndarray((n_iters, L), buffer=scaled, offset=(L - 1) * step,
                    strides=(step, -step))
-    d = X @ truth.w_star + sigma_z * rng_z.standard_normal(n_iters)
+    d = X @ w_star + sigma_z * rng_z.standard_normal(n_iters)
     return (np.ascontiguousarray(X), d,
             SignalCarry(float(u[-1]), scaled[scaled.size - L + 1:].copy(), start + u.size))

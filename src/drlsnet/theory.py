@@ -22,8 +22,6 @@ memory does not grow with the period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .signals import ColoredProcessParams, colored_autocorrelation
@@ -111,19 +109,14 @@ def network_msd(Kmat: np.ndarray) -> float:
     return float(np.einsum("kii->", Kmat[idx, idx])) / K
 
 
-@dataclass
-class TheoryTrajectory:
-    msd: np.ndarray            # (N,) linear MSD at n = 1..N
-    mean_err_norm: np.ndarray  # (N,) ||E{werr_n}||
-
-
 def theoretical_trajectory(amplitude: np.ndarray,
                            params: ColoredProcessParams,
                            A: np.ndarray, noise_variances: np.ndarray,
                            w_star: np.ndarray, lam: float, delta: float,
-                           N: int) -> TheoryTrajectory:
+                           N: int) -> tuple[np.ndarray, np.ndarray]:
     """Iterate all three recursions for n = 1..N.
 
+    Returns (msd, mean_err_norm), each (N,): tr(K_n)/K and ||E{werr_n}||.
     `amplitude` is the (K, T) table of sigma_x: row k holds node k's
     sigma_x(n) for n = 0..T-1.  Raises TheoryError if an E{Phi_n} block
     is singular, tr(K_n)/K or ||E{werr_n}|| is not finite, or K_n loses
@@ -157,4 +150,4 @@ def theoretical_trajectory(amplitude: np.ndarray,
             raise TheoryError(f"K_n lost positive semidefiniteness at n={n}: tr/K={m:.3e}")
         msd[n - 1] = m
         err_norm[n - 1] = e
-    return TheoryTrajectory(msd=msd, mean_err_norm=err_norm)
+    return msd, err_norm

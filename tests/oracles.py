@@ -5,6 +5,7 @@ on numpy alone; its own versions must match them bit for bit.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -12,7 +13,44 @@ from scipy.signal import detrend, lfilter
 from scipy.sparse.csgraph import connected_components
 
 from drlsnet.filters import init_state, update_inverse_correlation
-from drlsnet.signals import colored_autocorrelation, sigma_at
+from drlsnet.signals import colored_autocorrelation
+
+
+class Profile(NamedTuple):
+    """One node's sigma_x: the config's signal keys and the node's phase.
+
+    The record is not validated; `drlsnet.signals.sigma_table` owns the rules.
+    """
+
+    kind: str = "constant"
+    period: int = 1
+    duty_cycle: float = 0.5
+    v_low: float = 1.0
+    v_high: float = 1.0
+    level: float = 1.0
+    mod_depth: float = 0.0
+    phase: int = 0
+
+
+def sigma_at(profile: Profile, n) -> np.ndarray | float:
+    """sigma_x(n) at any integer n, scalar or array, from the formula of its kind.
+
+      - "constant": level
+      - "pulsed": v_high where (n - phase) mod T < ceil(duty_cycle*T), else v_low
+      - "sinusoidal": level * (1 + mod_depth * sin(2*pi*((n - phase) mod T)/T))
+    """
+    n = np.asarray(n)
+    if profile.kind == "constant":
+        out = np.full(n.shape, profile.level)
+    elif profile.kind == "pulsed":
+        pos = (n - profile.phase) % profile.period
+        high = pos < math.ceil(profile.duty_cycle * profile.period)
+        out = np.where(high, profile.v_high, profile.v_low)
+    else:
+        out = profile.level * (1.0 + profile.mod_depth
+                               * np.sin(2.0 * np.pi * ((n - profile.phase) % profile.period)
+                                        / profile.period))
+    return out if out.ndim else float(out)
 
 
 def amplitude_table(*profiles, nodes: int = 1) -> np.ndarray:

@@ -17,12 +17,11 @@ from drlsnet.harness import (EnsembleSpec, compare_theory_empirical,
                              detect_periodicity, run_ensemble, to_db)
 from drlsnet.network import (build_combination_matrix, build_topology,
                              draw_noise_variances)
-from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
-                             colored_autocorrelation, generate_node_signals,
-                             make_ground_truth, sigma_at)
+from drlsnet.signals import (ColoredProcessParams, colored_autocorrelation,
+                             generate_node_signals, make_ground_truth)
 from drlsnet.theory import (expected_phi_step, initial_theory_state,
                             k_matrix_step, mean_error_step, transition_blocks)
-from oracles import amplitude_table, input_covariance
+from oracles import Profile, amplitude_table, input_covariance, sigma_at
 
 K, L, LAM, DELTA, RHO = 10, 8, 0.995, 0.01, 0.8
 MASTER_SEED = 42
@@ -39,8 +38,8 @@ def report(criterion, name, ok, detail):
 
 
 def pulsed(T):
-    return CyclostationaryProfile(kind="pulsed", period=T, duty_cycle=0.5,
-                                  v_low=2e-3, v_high=2.0)
+    return Profile(kind="pulsed", period=T, duty_cycle=0.5,
+                   v_low=2e-3, v_high=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,7 @@ def run_desk(desk, params, T, runs, iters, **kw):
     comb, nv = desk
     spec = EnsembleSpec(runs=runs, iterations=iters, master_seed=MASTER_SEED,
                         algorithms=kw.pop("algorithms", ("rls", "drls")))
-    profile = pulsed(T) if T else CyclostationaryProfile(kind="constant", level=1.0)
+    profile = pulsed(T) if T else Profile(kind="constant", level=1.0)
     return run_ensemble(comb, nv, amplitude_table(profile, nodes=K),
                         params, LAM, DELTA, spec, **kw)
 
@@ -164,14 +163,14 @@ class TestCriterion5OracleEquivalences:
 
     def test_identity_combiner_degeneracy(self):
         Kd, Ld, N = 4, 3, 1000
-        amplitude = amplitude_table(CyclostationaryProfile(kind="constant", level=1.0))[0]
+        amplitude = amplitude_table(Profile(kind="constant", level=1.0))[0]
         par = ColoredProcessParams(rho=RHO, length=Ld)
-        truth = make_ground_truth(Ld, 5)
+        w_star = make_ground_truth(Ld, 5)
         X = np.empty((Kd, N, Ld))
         d = np.empty((Kd, N))
         for k, ss in enumerate(np.random.SeedSequence(5).spawn(Kd)):
             su, sz = ss.spawn(2)
-            X[k], d[k], _ = generate_node_signals(amplitude, par, truth, 0.3, N,
+            X[k], d[k], _ = generate_node_signals(amplitude, par, w_star, 0.3, N,
                                                   np.random.default_rng(su),
                                                   np.random.default_rng(sz))
         net = DrlsNetworkState(init_state(Ld, DELTA, (Kd,)), np.eye(Kd))
@@ -221,12 +220,12 @@ class TestCriterion5OracleEquivalences:
 
     def test_expected_phi_vs_monte_carlo(self):
         prof, par = pulsed(4), ColoredProcessParams(rho=RHO, length=2)
-        truth = make_ground_truth(2, 0)
+        w_star = make_ground_truth(2, 0)
         runs, n_check = 2000, 100
         acc = np.zeros((2, 2))
         for r, ss in enumerate(np.random.SeedSequence(77).spawn(runs)):
             su, sz = ss.spawn(2)
-            X, _, _ = generate_node_signals(amplitude_table(prof)[0], par, truth, 0.1,
+            X, _, _ = generate_node_signals(amplitude_table(prof)[0], par, w_star, 0.1,
                                             n_check, np.random.default_rng(su),
                                             np.random.default_rng(sz))
             Phi = DELTA * np.eye(2)
@@ -246,9 +245,9 @@ class TestCriterion5OracleEquivalences:
 class TestCriterion6StatisticalGenerators:
     def test_ar1_moments(self):
         par = ColoredProcessParams(rho=RHO, length=1)
-        unit = amplitude_table(CyclostationaryProfile(kind="constant", level=1.0))[0]
-        truth = make_ground_truth(1, 0)
-        X, _, _ = generate_node_signals(unit, par, truth, 0.0, 1_000_000,
+        unit = amplitude_table(Profile(kind="constant", level=1.0))[0]
+        w_star = make_ground_truth(1, 0)
+        X, _, _ = generate_node_signals(unit, par, w_star, 0.0, 1_000_000,
                                         np.random.default_rng(3),
                                         np.random.default_rng(4))
         u = X[:, 0]
@@ -260,9 +259,9 @@ class TestCriterion6StatisticalGenerators:
 
     def test_regressor_covariance(self):
         par = ColoredProcessParams(rho=RHO, length=4)
-        prof = CyclostationaryProfile(kind="constant", level=1.0)
-        truth = make_ground_truth(4, 0)
-        X, _, _ = generate_node_signals(amplitude_table(prof)[0], par, truth, 0.0,
+        prof = Profile(kind="constant", level=1.0)
+        w_star = make_ground_truth(4, 0)
+        X, _, _ = generate_node_signals(amplitude_table(prof)[0], par, w_star, 0.0,
                                         1_000_000, np.random.default_rng(5),
                                         np.random.default_rng(6))
         R = input_covariance(prof, par, 10)

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from drlsnet.cli import (CSV_COLUMNS, EXIT_ACCEPTANCE, EXIT_NUMERIC, EXIT_OK,
                          EXIT_VALIDATION, main, run_experiment)
 from drlsnet.config import (ConfigError, config_to_text, parse_config,
                             resolve_config, with_overrides)
-from drlsnet.signals import CyclostationaryProfile, sigma_at
+from oracles import Profile, sigma_at
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -53,6 +54,20 @@ CSV_SHA256 = {
     "small": "6e32a65c77b48f052f0bb44e3db43358d59b587f401093714e20fb7c0392847a",
     "wavy": "49a6bbb118d18c66193361307f50d66ce6e6b8d9d450897456f8584504c3835a",
 }
+# sha256 of the metadata JSON each config writes, with `runtime_s` and the
+# output directory replaced (see pinned_metadata): every other value, the
+# deviation report and the excluded-run record among them, is pinned too
+METADATA_SHA256 = {
+    "small": "fb0fccd915adbd1582db86d027f42bbd38717f051f19d57f0cf5f0a1db4632a7",
+    "wavy": "ea49d518d99d18aeaa5dd6ba2986bf8cbbdd9718ca74b97a47ca7304fe000c78",
+}
+
+
+def pinned_metadata(directory: Path) -> bytes:
+    """The metadata JSON with its two run-dependent parts made constant."""
+    text = (directory / "experiment_metadata.json").read_text()
+    text = re.sub(r'"runtime_s": [^,\n]+', '"runtime_s": 0', text)
+    return text.replace(str(directory), "<out>").encode()
 
 
 def write_ini(path, raw):
@@ -130,14 +145,16 @@ class TestParsing:
         {"profile": "sinusoidal", "period": "7", "mod_depth": "0.5"},
     ], ids=["constant", "pulsed", "sinusoidal"])
     def test_amplitude_table_reads_sigma_at(self, signal):
-        # row[n % T] is sigma_x(n) exactly, before time 0 as after it
-        cfg = resolve_config({"network": {"nodes": "2", "topology": "ring"},
-                              "signal": {**signal, "phases": "3, -2"}})
+        # row[n % T] is the oracle's sigma_x(n) exactly, before time 0 as
+        # after it, and for a phase past one period
+        phases = (3, -2, 13)
+        cfg = resolve_config({"network": {"nodes": "3", "topology": "ring"},
+                              "signal": {**signal, "phases": "3, -2, 13"}})
         sig = cfg["signal"]
         table = cfg.build_profiles()
         n = np.arange(-40, 5001)
-        for row, phase in zip(table, (3, -2)):
-            profile = CyclostationaryProfile(
+        for row, phase in zip(table, phases, strict=True):
+            profile = Profile(
                 kind=sig["profile"], period=sig["period"], duty_cycle=sig["duty_cycle"],
                 v_low=sig["v_low"], v_high=sig["v_high"], level=sig["level"],
                 mod_depth=sig["mod_depth"], phase=phase)
@@ -188,6 +205,9 @@ class TestRunExperiment:
         assert run_experiment(resolve_config(raw), out_dir=tmp_path) == EXIT_OK
         csv_bytes = (tmp_path / "experiment_trajectory.csv").read_bytes()
         assert hashlib.sha256(csv_bytes).hexdigest() == CSV_SHA256[name]
+        meta_bytes = pinned_metadata(tmp_path)
+        assert b"<out>/experiment_trajectory.csv" in meta_bytes
+        assert hashlib.sha256(meta_bytes).hexdigest() == METADATA_SHA256[name]
 
     def test_csv_round_trips_curves(self, outputs):
         import csv
@@ -276,6 +296,15 @@ class TestMain:
         ("algorithm", {"guard": "inf"}, "algorithm.guard: cannot parse"),
         ("signal", {"profile": "constant", "level": "nan"}, "signal.level: cannot parse"),
         ("signal", {"rho": "-inf"}, "signal.rho: cannot parse"),
+        # the sigma_x profile rules
+        ("signal", {"profile": "triangular"}, "signal: unknown profile kind 'triangular'"),
+        ("signal", {"profile": "constant", "level": "0"},
+         "signal: constant level must be positive"),
+        ("signal", {"duty_cycle": "1.5"}, "signal: duty cycle must lie in (0, 1)"),
+        ("signal", {"v_low": "0"}, "signal: need 0 < v_low < v_high"),
+        ("signal", {"v_low": "2.0", "v_high": "2.0"}, "signal: need 0 < v_low < v_high"),
+        ("signal", {"profile": "sinusoidal", "mod_depth": "1.0"},
+         "signal: need level > 0 and 0 <= mod_depth < 1"),
     ])
     def test_check_rejects_what_run_rejects(self, tmp_path, capsys, section,
                                             values, message):
@@ -299,6 +328,24 @@ class TestMain:
 
     def test_missing_file(self):
         assert main(["check", "/nonexistent/nope.ini"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("text", [
+        b"[network]\nnodes = 4\nnodes = 5\n",
+        b"[network]\nnodes = 4\n[network]\ntopology = ring\n",
+        b"nodes = 4\n[network]\ntopology = ring\n",
+        b"[network]\nnodes 4\n",
+        b"[network]\ntopology = ring\n# \xff\xfe\n",
+    ], ids=["duplicate-key", "duplicate-section", "key-before-section",
+            "line-without-equals", "not-utf8"])
+    def test_malformed_file_is_validation_error(self, tmp_path, capsys, text):
+        path = tmp_path / "c.ini"
+        path.write_bytes(text)
+        for argv in (["check", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+            assert main(argv) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert "configuration error" in err and str(path) in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_check_rejects_ephi_init(self, tmp_path, capsys):
         # E{Phi_0} = delta*I always, so the key that chose it is unknown

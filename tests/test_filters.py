@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 from drlsnet.filters import (DrlsNetworkState, adapt, combine, drls_iteration,
                              init_state, rls_iteration, update_inverse_correlation)
 from drlsnet.network import build_combination_matrix, build_topology
-from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
-                             generate_node_signals, make_ground_truth)
-from oracles import amplitude_table
+from drlsnet.signals import ColoredProcessParams, generate_node_signals, make_ground_truth
+from oracles import Profile, amplitude_table
 
 LAM = 0.995
 
@@ -149,20 +148,20 @@ class TestCombine:
 
 
 def make_node_data(K, L, N, sigma_z, seed, period=1, kind="constant"):
-    profile = (CyclostationaryProfile(kind="constant", level=1.0) if kind == "constant"
-               else CyclostationaryProfile(kind="pulsed", period=period,
-                                           duty_cycle=0.5, v_low=2e-3, v_high=2.0))
+    profile = (Profile(kind="constant", level=1.0) if kind == "constant"
+               else Profile(kind="pulsed", period=period,
+                            duty_cycle=0.5, v_low=2e-3, v_high=2.0))
     amplitude = amplitude_table(profile)[0]
     params = ColoredProcessParams(rho=0.8, length=L)
-    truth = make_ground_truth(L, seed)
+    w_star = make_ground_truth(L, seed)
     X = np.empty((K, N, L))
     d = np.empty((K, N))
     for k, ss in enumerate(np.random.SeedSequence(seed).spawn(K)):
         su, sz = ss.spawn(2)
-        X[k], d[k], _ = generate_node_signals(amplitude, params, truth, sigma_z, N,
+        X[k], d[k], _ = generate_node_signals(amplitude, params, w_star, sigma_z, N,
                                               np.random.default_rng(su),
                                               np.random.default_rng(sz))
-    return X, d, truth
+    return X, d, w_star
 
 
 class TestIterations:
@@ -180,12 +179,12 @@ class TestIterations:
 
     def test_noiseless_network_convergence(self):
         K, L, N = 5, 8, 1000
-        X, d, truth = make_node_data(K, L, N, 0.0, seed=6)
+        X, d, w_star = make_node_data(K, L, N, 0.0, seed=6)
         topo = build_topology("ring", K)
         net = DrlsNetworkState(init_state(L, 0.01, (K,)), build_combination_matrix(topo).A)
         for n in range(N):
             drls_step(net, X[:, n, :], d[:, n], 0.95)
-        assert np.linalg.norm(net.nodes.w - truth.w_star, axis=1).max() < 1e-6
+        assert np.linalg.norm(net.nodes.w - w_star, axis=1).max() < 1e-6
 
     def test_iterations_return_the_updated_estimate(self):
         X, d, _ = make_node_data(3, 2, 5, 0.1, seed=4)
@@ -221,7 +220,7 @@ class TestIterations:
 
     def test_cooperation_beats_noncooperation_stationary(self):
         K, L, N = 10, 4, 2500
-        X, d, truth = make_node_data(K, L, N, np.sqrt(0.05), seed=8)
+        X, d, w_star = make_node_data(K, L, N, np.sqrt(0.05), seed=8)
         topo = build_topology("random_geometric", K, radius=0.45, seed=7)
         net = DrlsNetworkState(init_state(L, 0.01, (K,)), build_combination_matrix(topo).A)
         solo = init_state(L, 0.01, batch_shape=(K,))
@@ -230,18 +229,18 @@ class TestIterations:
             drls_step(net, X[:, n, :], d[:, n], LAM)
             rls_step(solo, X[:, n, :], d[:, n], LAM)
             if n >= N - 500:
-                msd_net += np.sum((net.nodes.w - truth.w_star) ** 2)
-                msd_solo += np.sum((solo.w - truth.w_star) ** 2)
+                msd_net += np.sum((net.nodes.w - w_star) ** 2)
+                msd_solo += np.sum((solo.w - w_star) ** 2)
         assert msd_net < msd_solo
 
     def test_long_pulsed_run_keeps_P_symmetric_pd(self):
         # conditioning stress: 1e5 iterations with V_l = 2e-3 low segments
         L, N = 2, 100_000
-        amplitude = amplitude_table(CyclostationaryProfile(
+        amplitude = amplitude_table(Profile(
             kind="pulsed", period=64, duty_cycle=0.5, v_low=2e-3, v_high=2.0))[0]
         params = ColoredProcessParams(rho=0.8, length=L)
-        truth = make_ground_truth(L, 9)
-        X, d, _ = generate_node_signals(amplitude, params, truth, 0.1, N,
+        w_star = make_ground_truth(L, 9)
+        X, d, _ = generate_node_signals(amplitude, params, w_star, 0.1, N,
                                         np.random.default_rng(10),
                                         np.random.default_rng(11))
         state = init_state(L, 0.01)

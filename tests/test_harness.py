@@ -12,12 +12,11 @@ from drlsnet.harness import (EnsembleSpec, ExcludedRunThresholdError,
                              run_ensemble, to_db)
 from drlsnet.network import (CombinationMatrix, build_combination_matrix,
                              build_topology, draw_noise_variances)
-from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
-                             generate_node_signals, make_ground_truth)
-from oracles import amplitude_table, every_step_trips, linear_detrend
+from drlsnet.signals import ColoredProcessParams, generate_node_signals, make_ground_truth
+from oracles import Profile, amplitude_table, every_step_trips, linear_detrend
 
-CONST = CyclostationaryProfile(kind="constant", level=1.0)
-FAINT = amplitude_table(CyclostationaryProfile(kind="constant", level=0.003), nodes=3)
+CONST = Profile(kind="constant", level=1.0)
+FAINT = amplitude_table(Profile(kind="constant", level=0.003), nodes=3)
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -70,11 +69,11 @@ def blas_combine(A, psi):
 
 
 def ensemble_signals(comb, nv, amplitude, params, spec):
-    """(truth, X, d) for every run, drawn through run_ensemble's seed layout
+    """(w_star, X, d) for every run, drawn through run_ensemble's seed layout
     in one block per node-run: X of shape (N, R, K, L), d of shape (N, R, K)."""
     K, L, N, R = comb.A.shape[0], params.length, spec.iterations, spec.runs
     children = np.random.SeedSequence(spec.master_seed).spawn(1 + R)
-    truth = make_ground_truth(L, children[0])
+    w_star = make_ground_truth(L, children[0])
     sigma_z = np.sqrt(nv)
     X = np.empty((N, R, K, L))
     d = np.empty((N, R, K))
@@ -82,9 +81,9 @@ def ensemble_signals(comb, nv, amplitude, params, spec):
         for k, node in enumerate(children[1 + r].spawn(K)):
             ss_u, ss_z = node.spawn(2)
             X[:, r, k], d[:, r, k], _ = generate_node_signals(
-                amplitude[k], params, truth, sigma_z[k], N,
+                amplitude[k], params, w_star, sigma_z[k], N,
                 np.random.default_rng(ss_u), np.random.default_rng(ss_z))
-    return truth, X, d
+    return w_star, X, d
 
 
 def independent_states_msd(comb, nv, amplitude, params, lam, delta, spec,
@@ -97,7 +96,7 @@ def independent_states_msd(comb, nv, amplitude, params, lam, delta, spec,
     """
     A = comb.A
     K, L, N, R = A.shape[0], params.length, spec.iterations, spec.runs
-    truth, X, d = ensemble_signals(comb, nv, amplitude, params, spec)
+    w_star, X, d = ensemble_signals(comb, nv, amplitude, params, spec)
     msd = {}
     for algo in spec.algorithms:
         P = np.broadcast_to(np.eye(L) / delta, (R, K, L, L)).copy()
@@ -109,7 +108,7 @@ def independent_states_msd(comb, nv, amplitude, params, lam, delta, spec,
             P, gain = step(P, x, lam)
             psi = w + gain * e[..., None]
             w = mix(A, psi) if algo == "drls" else psi
-            dev = w - truth.w_star
+            dev = w - w_star
             dev_sq[:, n] = np.einsum("bki,bki->b", dev, dev)
         total = np.zeros(N)
         for r in range(R):
@@ -386,7 +385,7 @@ class TestRunEnsemble:
     def test_shared_recursion_matches_independent_states(self, monkeypatch, algorithms):
         monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 2)
         comb, nv = desk_network(4)
-        amplitude = amplitude_table(CyclostationaryProfile(
+        amplitude = amplitude_table(Profile(
             kind="pulsed", period=8, duty_cycle=0.5, v_low=2e-3, v_high=2.0), nodes=4)
         params = ColoredProcessParams(rho=0.8, length=3)
         spec = EnsembleSpec(runs=5, iterations=150, master_seed=17,
@@ -404,7 +403,7 @@ class TestRunEnsemble:
         # faint segments the curves agree to 1e-10 relative at every iteration
         monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 3)
         comb, nv = line_network(4)
-        amplitude = amplitude_table(CyclostationaryProfile(
+        amplitude = amplitude_table(Profile(
             kind="pulsed", period=32, duty_cycle=0.5, v_low=2e-3, v_high=2.0), nodes=4)
         params = ColoredProcessParams(rho=0.8, length=3)
         spec = EnsembleSpec(runs=4, iterations=2500, master_seed=23)

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
-                             GroundTruth, colored_autocorrelation,
-                             generate_node_signals, make_ground_truth, sigma_at)
-from oracles import (amplitude_table, input_covariance, lfilter_raw_samples,
-                     toeplitz_autocorrelation)
+from drlsnet.signals import (ColoredProcessParams, colored_autocorrelation,
+                             generate_node_signals, make_ground_truth, sigma_table)
+from oracles import (Profile, amplitude_table, input_covariance, lfilter_raw_samples,
+                     sigma_at, toeplitz_autocorrelation)
 
-PULSED = CyclostationaryProfile(kind="pulsed", period=4, duty_cycle=0.5,
-                                v_low=2e-3, v_high=2.0)
+PULSED = Profile(kind="pulsed", period=4, duty_cycle=0.5,
+                 v_low=2e-3, v_high=2.0)
 # one node's sigma_x rows, as the generator takes them
 PULSED_ROW = amplitude_table(PULSED)[0]
-UNIT = amplitude_table(CyclostationaryProfile(kind="constant", level=1.0))[0]
+UNIT = amplitude_table(Profile(kind="constant", level=1.0))[0]
 
 
 # Streaming generator: the oracle that generate_node_signals must match
@@ -56,7 +55,7 @@ class NodeSignalState:
         self.n += 1
         return u_next
 
-    def regressor(self, profile: CyclostationaryProfile) -> np.ndarray:
+    def regressor(self, profile: Profile) -> np.ndarray:
         """x_n = [sigma_x(n)u_n, ..., sigma_x(n-L+1)u_{n-L+1}]."""
         scaled = sigma_at(profile, self._times) * self._u
         return scaled[::-1].copy()
@@ -67,54 +66,68 @@ def step_colored(state: NodeSignalState, rng: np.random.Generator) -> float:
     return state.advance(rng)
 
 
-def emit_regressor(state: NodeSignalState, profile: CyclostationaryProfile) -> np.ndarray:
+def emit_regressor(state: NodeSignalState, profile: Profile) -> np.ndarray:
     return state.regressor(profile)
 
 
-def emit_desired(x: np.ndarray, truth: GroundTruth, sigma_z: float,
+def emit_desired(x: np.ndarray, w_star: np.ndarray, sigma_z: float,
                  rng: np.random.Generator) -> float:
     """d = x^T w_star + z with z ~ N(0, sigma_z^2) from the node's own stream."""
-    return float(x @ truth.w_star) + sigma_z * rng.standard_normal()
+    return float(x @ w_star) + sigma_z * rng.standard_normal()
+
+
+def table_row(profile: Profile) -> np.ndarray:
+    """The package's sigma_x row for one node, at the record's phase."""
+    return sigma_table(profile.kind, profile.period, [profile.phase],
+                       duty_cycle=profile.duty_cycle, v_low=profile.v_low,
+                       v_high=profile.v_high, level=profile.level,
+                       mod_depth=profile.mod_depth)[0]
+
+
+def sigma(profile: Profile, n):
+    """sigma_x(n) as the engines read the package's table: row[n % T]."""
+    return table_row(profile)[np.asarray(n) % profile.period]
 
 
 class TestSigmaAt:
     def test_pulsed_levels(self):
-        assert sigma_at(PULSED, 0) == 2.0
-        assert sigma_at(PULSED, 1) == 2.0
-        assert sigma_at(PULSED, 2) == 0.002
-        assert sigma_at(PULSED, 3) == 0.002
+        assert sigma(PULSED, 0) == 2.0
+        assert sigma(PULSED, 1) == 2.0
+        assert sigma(PULSED, 2) == 0.002
+        assert sigma(PULSED, 3) == 0.002
 
     def test_periodicity(self):
-        assert sigma_at(PULSED, 5) == sigma_at(PULSED, 1)
-        n = np.arange(100)
-        assert np.array_equal(sigma_at(PULSED, n), sigma_at(PULSED, n + 4))
+        assert sigma(PULSED, 5) == sigma(PULSED, 1)
+        n = np.arange(-50, 100)
+        assert np.array_equal(sigma(PULSED, n), sigma(PULSED, n + 4))
 
     def test_constant(self):
-        prof = CyclostationaryProfile(kind="constant", level=1.0)
-        assert sigma_at(prof, 12345) == 1.0
+        prof = Profile(kind="constant", level=1.0)
+        assert sigma(prof, 12345) == 1.0
 
     def test_sinusoidal_positive_and_periodic(self):
-        prof = CyclostationaryProfile(kind="sinusoidal", period=16,
-                                      level=1.5, mod_depth=0.9)
+        prof = Profile(kind="sinusoidal", period=16,
+                       level=1.5, mod_depth=0.9)
         n = np.arange(64)
-        vals = sigma_at(prof, n)
+        vals = sigma(prof, n)
         assert (vals > 0).all()
-        assert np.allclose(vals[:16], vals[16:32])
+        assert vals.min() == pytest.approx(0.15) and vals.max() == pytest.approx(2.85)
+        assert np.array_equal(vals[:16], vals[16:32])
 
     def test_phase_offset(self):
-        shifted = CyclostationaryProfile(kind="pulsed", period=4,
-                                         duty_cycle=0.5, v_low=2e-3,
-                                         v_high=2.0, phase=1)
-        assert sigma_at(shifted, 1) == 2.0
-        assert sigma_at(shifted, 0) == 0.002
+        shifted = Profile(kind="pulsed", period=4,
+                          duty_cycle=0.5, v_low=2e-3,
+                          v_high=2.0, phase=1)
+        assert sigma(shifted, 1) == 2.0
+        assert sigma(shifted, 0) == 0.002
 
     @pytest.mark.parametrize("phase", [1, 3, -2])
     def test_sinusoidal_phase_shifts_the_profile(self, phase):
         kw = dict(kind="sinusoidal", period=7, level=1.0, mod_depth=0.5)
         n = np.arange(-10, 30)
-        shifted = sigma_at(CyclostationaryProfile(phase=phase, **kw), n)
-        assert np.array_equal(shifted, sigma_at(CyclostationaryProfile(**kw), n - phase))
-        assert not np.array_equal(shifted, sigma_at(CyclostationaryProfile(**kw), n))
+        shifted = sigma(Profile(phase=phase, **kw), n)
+        assert np.array_equal(shifted, sigma(Profile(**kw), n - phase))
+        assert not np.array_equal(shifted, sigma(Profile(**kw), n))
 
     @pytest.mark.parametrize("kwargs", [
         dict(kind="pulsed", period=4, duty_cycle=0.5, v_low=0.0, v_high=2.0),
@@ -126,7 +139,7 @@ class TestSigmaAt:
     ])
     def test_bad_profiles_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            CyclostationaryProfile(**kwargs)
+            table_row(Profile(**kwargs))
 
 
 class TestColoredProcess:
@@ -141,9 +154,9 @@ class TestColoredProcess:
     def test_variance_and_lag1_autocorrelation(self):
         # law-of-large-numbers oracle on the batch generator
         params = ColoredProcessParams(rho=0.8, length=2)
-        truth = make_ground_truth(2, 0)
+        w_star = make_ground_truth(2, 0)
         rng = np.random.default_rng(1)
-        X, _, _ = generate_node_signals(UNIT, params, truth, 0.0, 1_000_000,
+        X, _, _ = generate_node_signals(UNIT, params, w_star, 0.0, 1_000_000,
                                         rng, np.random.default_rng(2))
         u = X[:, 0]
         assert u.var() == pytest.approx(1.0, rel=0.01)
@@ -165,7 +178,7 @@ class TestColoredProcess:
 class TestRegressor:
     def test_constant_profile_scales(self):
         params = ColoredProcessParams(rho=0.5, length=3)
-        prof = CyclostationaryProfile(kind="constant", level=2.5)
+        prof = Profile(kind="constant", level=2.5)
         rng = np.random.default_rng(4)
         state = NodeSignalState(params, rng)
         raw = state._u[::-1].copy()
@@ -203,8 +216,8 @@ class TestAutocorrelation:
 
     def test_monte_carlo_covariance(self):
         params = ColoredProcessParams(rho=0.8, length=4)
-        truth = make_ground_truth(4, 0)
-        X, _, _ = generate_node_signals(UNIT, params, truth, 0.0, 1_000_000,
+        w_star = make_ground_truth(4, 0)
+        X, _, _ = generate_node_signals(UNIT, params, w_star, 0.0, 1_000_000,
                                         np.random.default_rng(7),
                                         np.random.default_rng(8))
         sample_cov = X.T @ X / X.shape[0]
@@ -228,7 +241,7 @@ class TestAutocorrelation:
 class TestInputCovariance:
     def test_constant_level_one_is_Ru(self):
         params = ColoredProcessParams(rho=0.6, length=3)
-        prof = CyclostationaryProfile(kind="constant", level=1.0)
+        prof = Profile(kind="constant", level=1.0)
         assert np.allclose(input_covariance(prof, params, 10),
                            colored_autocorrelation(params))
 
@@ -247,9 +260,9 @@ class TestInputCovariance:
     def test_boundary_monte_carlo(self):
         # covariance of regressors emitted at a fixed phase straddling the edge
         params = ColoredProcessParams(rho=0.8, length=3)
-        truth = make_ground_truth(3, 0)
+        w_star = make_ground_truth(3, 0)
         N = 800_000
-        X, _, _ = generate_node_signals(PULSED_ROW, params, truth, 0.0, N,
+        X, _, _ = generate_node_signals(PULSED_ROW, params, w_star, 0.0, N,
                                         np.random.default_rng(9),
                                         np.random.default_rng(10))
         phase = 2  # regressor at times n = 2 mod 4: taps straddle segments
@@ -262,40 +275,46 @@ class TestInputCovariance:
 
 class TestDesired:
     def test_noiseless(self):
-        truth = make_ground_truth(4, 11)
+        w_star = make_ground_truth(4, 11)
         x = np.arange(4.0)
         rng = np.random.default_rng(0)
-        assert emit_desired(x, truth, 0.0, rng) == pytest.approx(x @ truth.w_star)
+        assert emit_desired(x, w_star, 0.0, rng) == pytest.approx(x @ w_star)
 
     def test_zero_regressor_noise_variance(self):
-        truth = make_ground_truth(3, 12)
+        w_star = make_ground_truth(3, 12)
         rng = np.random.default_rng(1)
-        d = np.array([emit_desired(np.zeros(3), truth, 0.5, rng)
+        d = np.array([emit_desired(np.zeros(3), w_star, 0.5, rng)
                       for _ in range(100_000)])
         assert d.var() == pytest.approx(0.25, rel=0.02)
 
     def test_basis_projection(self):
-        truth = GroundTruth(np.array([1.0, 0.0, 0.0]))
+        w_star = np.array([1.0, 0.0, 0.0])
         x = np.array([3.0, -1.0, 7.0])
-        assert emit_desired(x, truth, 0.0, np.random.default_rng(2)) == pytest.approx(3.0)
+        assert emit_desired(x, w_star, 0.0, np.random.default_rng(2)) == pytest.approx(3.0)
 
 
 class TestGroundTruth:
     def test_unit_norm(self):
         for seed in range(5):
-            w = make_ground_truth(32, seed).w_star
+            w = make_ground_truth(32, seed)
             assert abs(w @ w - 1.0) < 1e-12
 
     def test_scalar_case(self):
-        assert abs(make_ground_truth(1, 0).w_star[0]) == pytest.approx(1.0)
+        assert abs(make_ground_truth(1, 0)[0]) == pytest.approx(1.0)
+
+    def test_read_only(self):
+        # every run shares one w_star
+        w = make_ground_truth(4, 0)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
     def test_deterministic(self):
-        assert np.array_equal(make_ground_truth(16, 7).w_star,
-                              make_ground_truth(16, 7).w_star)
+        assert np.array_equal(make_ground_truth(16, 7),
+                              make_ground_truth(16, 7))
 
     def test_exponential_damping(self):
         # damping by 0.5**i makes later taps small on average
-        tails = [abs(make_ground_truth(12, s).w_star[-1]) for s in range(30)]
+        tails = [abs(make_ground_truth(12, s)[-1]) for s in range(30)]
         assert np.median(tails) < 0.01
 
 
@@ -303,13 +322,13 @@ def test_cross_node_independence():
     # two nodes driven from sibling streams: sample cross-correlation of
     # their scalar inputs stays below 3/sqrt(samples)
     params = ColoredProcessParams(rho=0.8, length=1)
-    truth = make_ground_truth(1, 0)
+    w_star = make_ground_truth(1, 0)
     n = 100_000
     node_a, node_b = np.random.SeedSequence(123).spawn(2)
-    Xa, _, _ = generate_node_signals(UNIT, params, truth, 0.0, n,
+    Xa, _, _ = generate_node_signals(UNIT, params, w_star, 0.0, n,
                                      np.random.default_rng(node_a),
                                      np.random.default_rng(0))
-    Xb, _, _ = generate_node_signals(UNIT, params, truth, 0.0, n,
+    Xb, _, _ = generate_node_signals(UNIT, params, w_star, 0.0, n,
                                      np.random.default_rng(node_b),
                                      np.random.default_rng(1))
     corr = np.mean(Xa[:, 0] * Xb[:, 0])
@@ -318,9 +337,9 @@ def test_cross_node_independence():
 
 def test_batch_generator_matches_stateful_path():
     params = ColoredProcessParams(rho=0.8, length=4)
-    truth = make_ground_truth(4, 3)
+    w_star = make_ground_truth(4, 3)
     ss_u, ss_z = np.random.SeedSequence(9).spawn(2)
-    X, _, _ = generate_node_signals(PULSED_ROW, params, truth, 0.0, 50,
+    X, _, _ = generate_node_signals(PULSED_ROW, params, w_star, 0.0, 50,
                                     np.random.default_rng(ss_u),
                                     np.random.default_rng(ss_z))
     rng = np.random.default_rng(ss_u)
@@ -332,21 +351,21 @@ def test_batch_generator_matches_stateful_path():
     assert np.array_equal(X, np.array(xs))
 
 
-def generate_in_blocks(amplitude, params, truth, sigma_z, N, block, seeds):
+def generate_in_blocks(amplitude, params, w_star, sigma_z, N, block, seeds):
     """generate_node_signals over N iterations, `block` iterations per call."""
     rng_u, rng_z = (np.random.default_rng(s) for s in seeds)
     carry, Xs, ds = None, [], []
     for n0 in range(0, N, block):
-        X, d, carry = generate_node_signals(amplitude, params, truth, sigma_z,
+        X, d, carry = generate_node_signals(amplitude, params, w_star, sigma_z,
                                             min(block, N - n0), rng_u, rng_z, carry)
         Xs.append(X)
         ds.append(d)
     return np.concatenate(Xs), np.concatenate(ds), carry
 
 
-SHIFTED = CyclostationaryProfile(kind="pulsed", period=6, duty_cycle=0.4,
-                                 v_low=0.1, v_high=2.0, phase=3)
-WAVY = CyclostationaryProfile(kind="sinusoidal", period=7, level=1.0, mod_depth=0.5)
+SHIFTED = Profile(kind="pulsed", period=6, duty_cycle=0.4,
+                  v_low=0.1, v_high=2.0, phase=3)
+WAVY = Profile(kind="sinusoidal", period=7, level=1.0, mod_depth=0.5)
 N_GEN = 40
 
 
@@ -358,12 +377,12 @@ def test_blockwise_generation_is_bit_identical(profile, L, block):
     # desired responses exactly, whatever the block length
     N = N_GEN
     params = ColoredProcessParams(rho=0.8, length=L)
-    truth = make_ground_truth(L, 4)
+    w_star = make_ground_truth(L, 4)
     amplitude = amplitude_table(profile)[0]
     want_X, want_d, want_carry = generate_node_signals(
-        amplitude, params, truth, 0.3, N, np.random.default_rng(1),
+        amplitude, params, w_star, 0.3, N, np.random.default_rng(1),
         np.random.default_rng(2))
-    X, d, carry = generate_in_blocks(amplitude, params, truth, 0.3, N, block, (1, 2))
+    X, d, carry = generate_in_blocks(amplitude, params, w_star, 0.3, N, block, (1, 2))
     assert np.array_equal(X, want_X)
     assert np.array_equal(d, want_d)
     assert carry.next_time == want_carry.next_time == N + 1
@@ -383,11 +402,11 @@ def test_ar1_matches_lfilter_over_chained_blocks(rho, L, blocks):
     # the recursion written out rounds every sample as the first-order IIR
     # filter did, and its carried state continues it exactly
     params = ColoredProcessParams(rho=rho, length=L)
-    truth = make_ground_truth(L, 1)
+    w_star = make_ground_truth(L, 1)
     rng_u, rng_z = np.random.default_rng(3), np.random.default_rng(4)
     carry, rows = None, []
     for size in blocks:
-        X, _, carry = generate_node_signals(np.ones(1), params, truth, 0.0, size,
+        X, _, carry = generate_node_signals(np.ones(1), params, w_star, 0.0, size,
                                             rng_u, rng_z, carry)
         rows.append(X)
     X = np.concatenate(rows)

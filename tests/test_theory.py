@@ -6,18 +6,17 @@ import pytest
 from drlsnet import theory
 from drlsnet.config import parse_config
 from drlsnet.network import build_combination_matrix, build_topology
-from drlsnet.signals import (ColoredProcessParams, CyclostationaryProfile,
-                             generate_node_signals, make_ground_truth)
-from drlsnet.theory import (TheoryError, TheoryTrajectory, expected_phi_step,
+from drlsnet.signals import ColoredProcessParams, generate_node_signals, make_ground_truth
+from drlsnet.theory import (TheoryError, expected_phi_step,
                             initial_theory_state, k_matrix_step,
                             mean_error_step, network_msd,
                             theoretical_trajectory, transition_blocks)
-from oracles import amplitude_table, input_covariance
+from oracles import Profile, amplitude_table, input_covariance
 
 LAM = 0.995
-PULSED4 = CyclostationaryProfile(kind="pulsed", period=4, duty_cycle=0.5,
-                                 v_low=2e-3, v_high=2.0)
-CONST = CyclostationaryProfile(kind="constant", level=1.0)
+PULSED4 = Profile(kind="pulsed", period=4, duty_cycle=0.5,
+                  v_low=2e-3, v_high=2.0)
+CONST = Profile(kind="constant", level=1.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -70,12 +69,12 @@ class TestExpectedPhi:
     def test_matches_monte_carlo_phi_mean(self):
         # E{Phi_n} vs sample mean of the simulated shadow recursion
         params = ColoredProcessParams(rho=0.8, length=2)
-        truth = make_ground_truth(2, 0)
+        w_star = make_ground_truth(2, 0)
         runs, n_check = 2000, 100
         acc = np.zeros((2, 2))
         for r, ss in enumerate(np.random.SeedSequence(77).spawn(runs)):
             su, sz = ss.spawn(2)
-            X, _, _ = generate_node_signals(amplitude_table(PULSED4)[0], params, truth,
+            X, _, _ = generate_node_signals(amplitude_table(PULSED4)[0], params, w_star,
                                             0.0, n_check,
                                             np.random.default_rng(su),
                                             np.random.default_rng(sz))
@@ -123,11 +122,11 @@ class TestMeanError:
         topo = build_topology("ring", 4)
         A = build_combination_matrix(topo).A
         params = ColoredProcessParams(rho=0.8, length=3)
-        w = make_ground_truth(3, 1).w_star
-        traj = theoretical_trajectory(amplitude_table(CONST, nodes=4), params, A,
-                                      np.full(4, 0.05), w, LAM, 0.01, 3000)
+        w = make_ground_truth(3, 1)
+        _, err_norm = theoretical_trajectory(amplitude_table(CONST, nodes=4), params, A,
+                                             np.full(4, 0.05), w, LAM, 0.01, 3000)
         n0 = 500
-        ratio = traj.mean_err_norm[2999] / traj.mean_err_norm[n0 - 1]
+        ratio = err_norm[2999] / err_norm[n0 - 1]
         assert ratio <= LAM ** (3000 - n0) * 1.01
 
     def test_iteration_map_contracts_after_burn_in(self):
@@ -156,10 +155,10 @@ class TestKMatrix:
         topo = build_topology("ring", 3)
         A = build_combination_matrix(topo).A
         params = ColoredProcessParams(rho=0.5, length=2)
-        w = make_ground_truth(2, 2).w_star
-        traj = theoretical_trajectory(amplitude_table(CONST, nodes=3), params, A, np.zeros(3),
-                                      w, LAM, 0.01, 4000)
-        assert traj.msd[-1] < 1e-12
+        w = make_ground_truth(2, 2)
+        msd, _ = theoretical_trajectory(amplitude_table(CONST, nodes=3), params, A,
+                                        np.zeros(3), w, LAM, 0.01, 4000)
+        assert msd[-1] < 1e-12
 
     def test_scalar_hand_iteration(self):
         # k_n = lam^2 (phi_{n-1}/phi_n)^2 k_{n-1} + sz2 * r / phi_n^2
@@ -240,9 +239,9 @@ class TestKMatrix:
         topo = build_topology("random_geometric", 5, radius=0.6, seed=2)
         A = build_combination_matrix(topo).A
         params = ColoredProcessParams(rho=0.8, length=2)
-        w = make_ground_truth(2, 4).w_star
-        profile = CyclostationaryProfile(kind="pulsed", period=16,
-                                         duty_cycle=0.5, v_low=2e-3, v_high=2.0)
+        w = make_ground_truth(2, 4)
+        profile = Profile(kind="pulsed", period=16,
+                          duty_cycle=0.5, v_low=2e-3, v_high=2.0)
         K, L = 5, 2
         EPhi, _, Kmat = initial_theory_state(K, L, 0.01, w)
         sz = np.full(K, 0.05)
@@ -268,7 +267,7 @@ class TestNetworkMsd:
         assert network_msd(Kmat) == pytest.approx(L)  # trace = K*L
 
     def test_initial_msd_is_one(self):
-        w = make_ground_truth(6, 5).w_star
+        w = make_ground_truth(6, 5)
         _, _, Kmat = initial_theory_state(3, 6, 0.01, w)
         assert network_msd(Kmat) == pytest.approx(1.0, abs=1e-12)
 
@@ -277,9 +276,10 @@ class TestTrajectory:
     def test_scalar_full_pipeline_matches_simple_loop(self):
         params = ColoredProcessParams(rho=0.0, length=1)
         A = np.array([[1.0]])
-        traj = theoretical_trajectory(amplitude_table(CONST), params, A, np.array([0.02]),
-                                      np.array([1.0]), LAM, 0.01, 300)
-        assert isinstance(traj, TheoryTrajectory)
+        msd, err_norm = theoretical_trajectory(amplitude_table(CONST), params, A,
+                                               np.array([0.02]), np.array([1.0]),
+                                               LAM, 0.01, 300)
+        assert msd.shape == err_norm.shape == (300,)
         # independent scalar re-iteration
         phi, m, k = 0.01, -1.0, 1.0
         for n in range(300):
@@ -287,30 +287,29 @@ class TestTrajectory:
             m = LAM * (phi / phi_n) * m
             k = LAM ** 2 * (phi / phi_n) ** 2 * k + 0.02 * 1.0 / phi_n ** 2
             phi = phi_n
-            assert abs(traj.msd[n] - k) < 1e-12 * max(1.0, k)
-            assert abs(traj.mean_err_norm[n] - abs(m)) < 1e-12
+            assert abs(msd[n] - k) < 1e-12 * max(1.0, k)
+            assert abs(err_norm[n] - abs(m)) < 1e-12
 
     def test_monotone_after_transient_stationary(self):
         params = ColoredProcessParams(rho=0.8, length=2)
         A = np.array([[1.0]])
-        traj = theoretical_trajectory(amplitude_table(CONST), params, A, np.array([0.05]),
-                                      make_ground_truth(2, 6).w_star,
-                                      LAM, 0.01, 2000)
-        tail = traj.msd[100:]
+        msd, _ = theoretical_trajectory(amplitude_table(CONST), params, A, np.array([0.05]),
+                                        make_ground_truth(2, 6), LAM, 0.01, 2000)
+        tail = msd[100:]
         assert (np.diff(tail) <= 1e-15).all()
 
     def test_slow_pulsed_oscillates_fast_does_not(self):
         topo = build_topology("ring", 4)
         A = build_combination_matrix(topo).A
         params = ColoredProcessParams(rho=0.8, length=4)
-        w = make_ground_truth(4, 7).w_star
+        w = make_ground_truth(4, 7)
         sz = np.full(4, 0.05)
         curves = {}
         for T in (4, 512):
-            amplitude = amplitude_table(CyclostationaryProfile(
+            amplitude = amplitude_table(Profile(
                 kind="pulsed", period=T, duty_cycle=0.5, v_low=2e-3, v_high=2.0), nodes=4)
-            curves[T] = theoretical_trajectory(amplitude, params, A, sz, w,
-                                               LAM, 0.01, 4000).msd
+            curves[T], _ = theoretical_trajectory(amplitude, params, A, sz, w,
+                                                  LAM, 0.01, 4000)
         db = {T: 10 * np.log10(c[-2048:]) for T, c in curves.items()}
         swing = {T: db[T].max() - db[T].min() for T in db}
         assert swing[512] > 2.0       # visible period-512 fluctuation
@@ -320,13 +319,12 @@ class TestTrajectory:
         params = ColoredProcessParams(rho=0.5, length=2)
         topo = build_topology("ring", 3)
         A = build_combination_matrix(topo).A
-        profs = [CyclostationaryProfile(kind="pulsed", period=8, duty_cycle=0.5,
-                                        v_low=2e-3, v_high=2.0, phase=p)
+        profs = [Profile(kind="pulsed", period=8, duty_cycle=0.5,
+                         v_low=2e-3, v_high=2.0, phase=p)
                  for p in (0, 2, 4)]
-        traj = theoretical_trajectory(amplitude_table(*profs), params, A, np.full(3, 0.05),
-                                      make_ground_truth(2, 8).w_star,
-                                      LAM, 0.01, 100)
-        assert np.isfinite(traj.msd).all()
+        msd, _ = theoretical_trajectory(amplitude_table(*profs), params, A, np.full(3, 0.05),
+                                        make_ground_truth(2, 8), LAM, 0.01, 100)
+        assert np.isfinite(msd).all()
 
     def test_one_transition_solve_per_step(self, monkeypatch):
         # B_k is solved once per step and the same array reaches both steps;
@@ -343,7 +341,7 @@ class TestTrajectory:
         A = build_combination_matrix(build_topology("ring", 3)).A
         theoretical_trajectory(amplitude_table(PULSED4, nodes=3),
                                ColoredProcessParams(rho=0.5, length=2), A,
-                               np.full(3, 0.05), make_ground_truth(2, 1).w_star,
+                               np.full(3, 0.05), make_ground_truth(2, 1),
                                LAM, 0.01, 9)
         assert [len(v) for v in calls.values()] == [9] * 4
         for B, mean_args, k_args in zip(calls["transition_blocks"],
@@ -355,8 +353,8 @@ class TestTrajectory:
                                                            period, taps):
         # every R_x(n) the trajectory feeds its steps, n = 1..2T
         params = ColoredProcessParams(rho=0.7, length=taps)
-        profs = [CyclostationaryProfile(kind="pulsed", period=period, duty_cycle=0.5,
-                                        v_low=2e-3, v_high=2.0, phase=p)
+        profs = [Profile(kind="pulsed", period=period, duty_cycle=0.5,
+                         v_low=2e-3, v_high=2.0, phase=p)
                  for p in (0, 2, 5)]
         A = build_combination_matrix(build_topology("ring", 3)).A
         seen = []
@@ -368,7 +366,7 @@ class TestTrajectory:
 
         monkeypatch.setattr(theory, "expected_phi_step", recording)
         theoretical_trajectory(amplitude_table(*profs), params, A, np.full(3, 0.05),
-                               make_ground_truth(taps, 3).w_star,
+                               make_ground_truth(taps, 3),
                                LAM, 0.01, 2 * period)
         assert len(seen) == 2 * period
         for n, R in enumerate(seen, start=1):
@@ -390,12 +388,12 @@ class TestTrajectory:
         monkeypatch.setattr(theory, "k_matrix_step", dipping)
         args = (amplitude_table(PULSED4, nodes=K), ColoredProcessParams(rho=0.5, length=L),
                 A, np.full(K, 0.05),
-                make_ground_truth(L, 1).w_star, LAM, 0.01, 5)
+                make_ground_truth(L, 1), LAM, 0.01, 5)
         if breaks:
             with pytest.raises(TheoryError, match="semidefiniteness at n=1"):
                 theoretical_trajectory(*args)
         else:
-            msd = theoretical_trajectory(*args).msd
+            msd, _ = theoretical_trajectory(*args)
             assert np.allclose(msd, -scale * theory.PSD_TOL, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("step", ["k_matrix_step", "mean_error_step"])
@@ -408,7 +406,7 @@ class TestTrajectory:
         with pytest.raises(TheoryError, match="not finite at n=1"):
             theoretical_trajectory(amplitude_table(PULSED4, nodes=K),
                                    ColoredProcessParams(rho=0.5, length=L), A,
-                                   np.full(K, 0.05), make_ground_truth(L, 1).w_star,
+                                   np.full(K, 0.05), make_ground_truth(L, 1),
                                    LAM, 0.01, 5)
 
     def test_profile_count_mismatch_rejected(self):
@@ -418,7 +416,7 @@ class TestTrajectory:
                           amplitude_table(CONST, nodes=2)[0]):
             with pytest.raises(ValueError, match=r"expected a \(2, T\) amplitude table"):
                 theoretical_trajectory(amplitude, params, np.eye(2), np.full(2, 0.05),
-                                       make_ground_truth(2, 9).w_star, LAM, 0.01, 10)
+                                       make_ground_truth(2, 9), LAM, 0.01, 10)
 
 
 class TestFullScale:
@@ -437,11 +435,11 @@ class TestFullScale:
             return out
 
         monkeypatch.setattr(theory, "k_matrix_step", checked)
-        traj = theoretical_trajectory(
+        msd, _ = theoretical_trajectory(
             cfg.build_profiles(), cfg.process_params(), cfg.build_combiner().A,
-            cfg.noise_variances(), make_ground_truth(L, 0).w_star,
+            cfg.noise_variances(), make_ground_truth(L, 0),
             cfg["algorithm"]["forgetting_factor"], cfg["algorithm"]["delta"], 200)
-        assert traj.msd.shape == (200,)
-        assert np.isfinite(traj.msd).all() and (traj.msd > 0).all()
+        assert msd.shape == (200,)
+        assert np.isfinite(msd).all() and (msd > 0).all()
         assert len(oracle_dev) == 3
         assert max(oracle_dev) <= 1e-12
