@@ -50,18 +50,18 @@ def main(argv=None) -> int:
 
     base = parse_config(args.config)
     for T in (int(t) for t in args.periods.split(",")):
-        overrides = {"signal.period": str(T)}
+        overrides = {"signal.period": str(T),
+                     "output.prefix": f"{base['output']['prefix']}_T={T}"}
         if args.runs is not None:
             overrides["ensemble.runs"] = str(args.runs)
         cfg = with_overrides(base, overrides, source=f"{args.config} [period={T}]")
 
         print(f"== period T={T} ==")
         started = time.perf_counter()
-        run_experiment(cfg, out_dir=args.out, label=f"T={T}")
+        run_experiment(cfg, out_dir=args.out)
         elapsed = time.perf_counter() - started
 
-        prefix = cfg["output"]["prefix"]
-        csv_path = Path(args.out) / f"{prefix}_T={T}_trajectory.csv"
+        csv_path = Path(args.out) / f"{cfg['output']['prefix']}_trajectory.csv"
         drls_db = read_column(csv_path, "msd_drls_empirical_db")
         rls_db = read_column(csv_path, "msd_rls_empirical_db")
         gain = rls_db[-500:].mean() - drls_db[-500:].mean()

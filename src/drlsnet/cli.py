@@ -55,33 +55,22 @@ def emit_csv(traj: Trajectory, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _deviation_report(traj: Trajectory) -> dict | None:
-    if traj.msd_theory is None or "drls" not in traj.msd_empirical:
-        return None
-    N = traj.iterations
-    steady = min(500, max(1, N // 4))
-    lo = min(50, N)
-    hi = min(500, N)
-    return compare_theory_empirical(traj, transient_window=(lo, hi),
-                                    steady_window=steady)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None, *,
                    check_acceptance: bool = False,
                    steady_tol_db: float = 1.0,
-                   transient_tol_db: float = 2.0,
-                   label: str | None = None) -> int:
+                   transient_tol_db: float = 2.0) -> int:
     """Execute one experiment and write trajectory CSV + metadata JSON."""
     out = cfg.values["output"]
     directory = Path(out_dir) if out_dir is not None else Path(out["directory"])
     directory.mkdir(parents=True, exist_ok=True)
-    prefix = out["prefix"] if label is None else f"{out['prefix']}_{label}"
+    prefix = out["prefix"]
+    spec = cfg.ensemble_spec()
 
     started = time.perf_counter()
     traj = run_ensemble(
         cfg.build_combiner(), cfg.noise_variances(), cfg.build_profiles(),
         cfg.process_params(), cfg.values["algorithm"]["forgetting_factor"],
-        cfg.values["algorithm"]["delta"], cfg.ensemble_spec(),
+        cfg.values["algorithm"]["delta"], spec,
         guard=cfg.values["algorithm"]["guard"],
         snapshot_every=out["snapshot_every"],
     )
@@ -90,14 +79,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, *,
     csv_path = directory / f"{prefix}_trajectory.csv"
     emit_csv(traj, csv_path)
 
-    report = _deviation_report(traj)
+    report = (compare_theory_empirical(traj)
+              if traj.msd_theory is not None and "drls" in traj.msd_empirical else None)
     metadata = {
         "version": __version__,
         "resolved_config": cfg.values,
         "resolved_config_text": config_to_text(cfg),
-        "master_seed": traj.master_seed,
+        "master_seed": spec.master_seed,
         "runtime_s": runtime,
-        "runs_effective": traj.runs_effective,
+        "runs_effective": {a: spec.runs - len(v) for a, v in traj.excluded_runs.items()},
         "excluded_runs": {a: [list(t) for t in v]
                           for a, v in traj.excluded_runs.items()},
         "deviation_report_db": report,
@@ -199,11 +189,12 @@ def main(argv=None) -> int:
             status = EXIT_OK
             for value in args.values.split(","):
                 value = value.strip()
-                cfg = with_overrides(base, {args.param: value},
-                                     source=f"{args.config} [{args.param}={value}]")
-                key = args.param.split(".")[-1]
-                status = max(status, run_experiment(cfg, out_dir=args.out,
-                                                    label=f"{key}={value}"))
+                source = f"{args.config} [{args.param}={value}]"
+                cfg = with_overrides(base, {args.param: value}, source=source)
+                # read after the swept value, which may be the prefix itself
+                prefix = f"{cfg['output']['prefix']}_{args.param.split('.')[-1]}={value}"
+                cfg = with_overrides(cfg, {"output.prefix": prefix}, source=source)
+                status = max(status, run_experiment(cfg, out_dir=args.out))
             return status
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

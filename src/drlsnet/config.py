@@ -11,6 +11,7 @@ are exactly replayable.
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,15 +190,19 @@ def _validate(cfg: ExperimentConfig) -> None:
     build("ensemble", cfg.ensemble_spec)
 
     # no object owns these: lam and delta enter the recursions unchecked,
-    # the guard and the snapshot stride are read by the harness loop alone
+    # the guard and the snapshot stride are read by the harness loop alone,
+    # and the prefix names files inside the output directory
     if not 0.9 <= alg["forgetting_factor"] < 1:
         fail("algorithm.forgetting_factor", "must lie in [0.9, 1)")
     if alg["delta"] <= 0:
         fail("algorithm.delta", "must be positive")
     if alg["guard"] <= 0:
         fail("algorithm.guard", "must be positive")
-    if cfg.values["output"]["snapshot_every"] < 0:
+    out = cfg.values["output"]
+    if out["snapshot_every"] < 0:
         fail("output.snapshot_every", "must be >= 0")
+    if any(sep and sep in out["prefix"] for sep in ("/", os.sep, os.altsep)):
+        fail("output.prefix", f"must be a file name, not a path: {out['prefix']!r}")
 
 
 def resolve_config(raw: dict[str, dict[str, str]], source: str = "<dict>") -> ExperimentConfig:

@@ -63,19 +63,17 @@ def update_inverse_correlation(P: np.ndarray, x: np.ndarray, lam: float,
 
 
 def adapt(state: NodeFilterState, x: np.ndarray, d: np.ndarray,
-          gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Local RLS step given the gain g = P_n x_n.
-
-    Returns the prior errors e = d - x^T w and the estimate psi = w + g e.
-    """
+          gain: np.ndarray) -> np.ndarray:
+    """Local RLS step given the gain g = P_n x_n: psi = w + g e, with the
+    prior errors e = d - x^T w."""
     e = d - np.einsum("...i,...i->...", x, state.w)
-    return e, state.w + gain * e[..., None]
+    return state.w + gain * e[..., None]
 
 
 def rls_iteration(state: NodeFilterState, x: np.ndarray, d: np.ndarray,
                   gain: np.ndarray) -> np.ndarray:
     """Non-cooperative RLS: keep psi as the new weight estimate, and return it."""
-    _, state.w = adapt(state, x, d, gain)
+    state.w = adapt(state, x, d, gain)
     return state.w
 
 
@@ -99,6 +97,6 @@ def drls_iteration(network: DrlsNetworkState, x: np.ndarray, d: np.ndarray,
     x has shape (..., K, L), d shape (..., K) and gain the shape of x;
     returns the combined estimates, which become the nodes' w.
     """
-    _, psi = adapt(network.nodes, x, d, gain)
+    psi = adapt(network.nodes, x, d, gain)
     network.nodes.w = combine(network.A, psi)
     return network.nodes.w

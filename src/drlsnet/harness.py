@@ -53,10 +53,10 @@ class EnsembleSpec:
 
 @dataclass
 class Trajectory:
-    """Per-iteration curves (linear units) plus replay metadata."""
+    """Per-iteration curves (linear units), w_star, snapshots and each algorithm's
+    excluded runs; it averaged the other `spec.runs - len(excluded_runs[a])`."""
 
     iterations: int
-    master_seed: int
     msd_empirical: dict[str, np.ndarray]
     msd_theory: np.ndarray | None
     mean_err_norm_theory: np.ndarray | None
@@ -64,7 +64,6 @@ class Trajectory:
     w_star: np.ndarray | None = None
     snapshots: dict[str, dict] = field(default_factory=dict)
     excluded_runs: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    runs_effective: dict[str, int] = field(default_factory=dict)
 
 
 class ExcludedRunThresholdError(RuntimeError):
@@ -81,8 +80,6 @@ def _default_chunk(K: int, N: int, L: int) -> int:
 # regressor elements per signal block (8 MB): a chunk's signals are
 # generated this many elements at a time, into one reused buffer
 _SIGNAL_BLOCK = 1_000_000
-# runs simulated together; None sizes chunks with _default_chunk
-_RUN_CHUNK: int | None = None
 # the experiment fails when more than this share of runs is excluded
 _MAX_EXCLUDED_FRACTION = 0.01
 
@@ -104,11 +101,11 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     kept too, as its norm per iteration (None when DRLS is not selected).
     `amplitude` is the (K, T) table of sigma_x(n), n = 0..T-1, per node.
 
-    Runs are simulated `_RUN_CHUNK` at a time (by default as many as
-    `_default_chunk` allows), and each chunk's signals are generated in
-    time blocks of about `_SIGNAL_BLOCK` regressor elements into one
-    reused buffer, each node-run carrying its generators and filter state
-    across blocks.  Neither size changes any result.
+    Runs are simulated `_default_chunk(K, N, L)` at a time, looked up at
+    each call, and each chunk's signals are generated in time blocks of
+    about `_SIGNAL_BLOCK` regressor elements into one reused buffer, each
+    node-run carrying its generators and filter state across blocks.
+    Neither size changes any result.
     """
     A = combiner.A
     K = A.shape[0]
@@ -204,7 +201,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
             if keep_err:
                 err_sum[:] += err_traj[b]
 
-    chunk = _RUN_CHUNK or _default_chunk(K, N, L)
+    chunk = _default_chunk(K, N, L)
     for start in range(0, R if algos else 0, chunk):
         simulate_chunk(range(start, min(start + chunk, R)))
 
@@ -224,37 +221,26 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
             amplitude, params, A, noise_variances, w_star, lam, delta, N)
 
     return Trajectory(
-        iterations=N, master_seed=spec.master_seed,
-        msd_empirical=msd_empirical, msd_theory=msd_theory,
+        iterations=N, msd_empirical=msd_empirical, msd_theory=msd_theory,
         mean_err_norm_theory=mean_err_norm_theory,
         mean_err_norm_empirical=mean_err_norm_emp,
         w_star=w_star.copy(), snapshots=snapshots,
-        excluded_runs={a: list(excluded) for a in algos},
-        runs_effective={a: runs_effective for a in algos})
+        excluded_runs={a: list(excluded) for a in algos})
 
 
-def compare_theory_empirical(traj: Trajectory, *, algorithm: str = "drls",
-                             transient_window: tuple[int, int] = (50, 500),
-                             steady_window: int = 500) -> dict:
-    """Absolute dB deviation between theory and empirical MSD curves.
+def compare_theory_empirical(traj: Trajectory) -> dict:
+    """Absolute dB deviation between the theory and empirical DRLS MSD curves.
 
-    Windows are iteration indices (1-based, inclusive) and must lie
-    within the N-iteration curves: 1 <= lo <= hi <= N for the transient
-    window, and the steady-state window is the final `steady_window`
-    iterations, 1 <= steady_window <= N.
+    The windows are fixed and clamped to the N-iteration curves: transient
+    iterations min(50, N)..min(500, N) (1-based, inclusive) and steady state
+    the last min(500, max(1, N // 4)), so 50..500 and the last 500 at N = 3000.
     """
-    if traj.msd_theory is None or algorithm not in traj.msd_empirical:
+    if traj.msd_theory is None or "drls" not in traj.msd_empirical:
         raise ValueError("trajectory must carry both curves")
-    emp_db = to_db(traj.msd_empirical[algorithm])
-    th_db = to_db(traj.msd_theory)
-    dev = np.abs(emp_db - th_db)
+    dev = np.abs(to_db(traj.msd_empirical["drls"]) - to_db(traj.msd_theory))
     N = dev.size
-    lo, hi = transient_window
-    if not (1 <= lo <= hi <= N and 1 <= steady_window <= N):
-        raise ValueError(f"comparison windows (transient {lo}..{hi}, steady last "
-                         f"{steady_window}) fall outside iterations 1..{N}")
-    transient = dev[lo - 1:hi]
-    steady = dev[-steady_window:]
+    transient = dev[min(50, N) - 1:min(500, N)]
+    steady = dev[-min(500, max(1, N // 4)):]
     return {
         "transient_mean_abs_db": float(transient.mean()),
         "transient_max_abs_db": float(transient.max()),
@@ -273,20 +259,15 @@ def _linear_detrend(seg: np.ndarray) -> np.ndarray:
     return (col - design @ np.linalg.lstsq(design, col, rcond=None)[0])[:, 0]
 
 
-def detect_periodicity(curve: np.ndarray, T: int, *,
-                       steady_window: int | None = None) -> float:
+def detect_periodicity(curve: np.ndarray, T: int) -> float:
     """Fraction of steady-state fluctuation energy at period T and harmonics.
 
-    Looks at the last `steady_window` samples (default: half the curve),
-    truncated to a whole number of periods so 1/T falls on an exact FFT
-    bin; the window must cover at least 3 periods.  A linear detrend
-    removes residual convergence drift before the spectrum is taken.
+    Looks at the second half of the curve, cut to a whole number of periods
+    (at least 3) so 1/T falls on an exact FFT bin, after a linear detrend
+    removes residual convergence drift.
     """
     curve = np.asarray(curve, dtype=float)
-    window = steady_window if steady_window is not None else curve.size // 2
-    if window > curve.size:
-        raise ValueError("steady-state window longer than the curve")
-    S = (window // T) * T
+    S = (curve.size // 2 // T) * T
     if S < 3 * T:
         raise ValueError(f"window must cover >= 3 periods of T={T}")
     seg = _linear_detrend(curve[-S:])

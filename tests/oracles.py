@@ -66,6 +66,34 @@ def input_covariance(profile, params, n: int) -> np.ndarray:
     return colored_autocorrelation(params) * np.outer(s, s)
 
 
+def dense_theory(profiles, rho: float, A: np.ndarray, noise_variances: np.ndarray,
+                 w_star: np.ndarray, lam: float, delta: float, N: int) -> np.ndarray:
+    """Theory MSD tr(K_n)/K for n = 1..N, iterated on the dense KL x KL
+    matrices: E{Phi_n} block diagonal and inverted outright, the combiner
+    expanded to A^T (x) I_L, and sigma_x from `sigma_at`, one profile per node."""
+    K, L = len(profiles), len(w_star)
+    R_u = toeplitz_autocorrelation(rho, L)
+    cA = np.kron(A.T, np.eye(L))
+    Sz = np.kron(np.diag(noise_variances), np.eye(L))
+    phi = delta * np.eye(K * L)
+    err = np.tile(-np.asarray(w_star, dtype=float), K)
+    kmat = np.outer(err, err)
+    msd = np.empty(N)
+    for n in range(1, N + 1):
+        R = np.zeros((K * L, K * L))
+        for k, profile in enumerate(profiles):
+            s = sigma_at(profile, n - np.arange(L))
+            R[k * L:(k + 1) * L, k * L:(k + 1) * L] = R_u * np.outer(s, s)
+        phi_new = lam * phi + R
+        inv = np.linalg.inv(phi_new)
+        B = inv @ phi
+        kmat = cA @ (lam ** 2 * (B @ kmat @ B.T) + inv @ Sz @ R @ inv) @ cA.T
+        kmat = 0.5 * (kmat + kmat.T)
+        phi = phi_new
+        msd[n - 1] = np.trace(kmat) / K
+    return msd
+
+
 def lfilter_ar1(innov: np.ndarray, rho: float, zi) -> tuple[np.ndarray, np.ndarray]:
     """u_n = rho u_{n-1} + sqrt(1-rho^2) w_n as a first-order IIR filter,
     continued from the filter state zi = [rho u_prev]; returns (u, final state)."""

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drlsnet import cli, theory
+from drlsnet import cli, harness, theory
 from drlsnet.cli import (CSV_COLUMNS, EXIT_ACCEPTANCE, EXIT_NUMERIC, EXIT_OK,
                          EXIT_VALIDATION, main, run_experiment)
 from drlsnet.config import (ConfigError, config_to_text, parse_config,
@@ -229,6 +229,23 @@ class TestRunExperiment:
         assert meta["deviation_report_db"] is not None
         assert "experiment_trajectory.csv" in meta["outputs"]["trajectory_csv"]
 
+    def test_metadata_counts_surviving_runs(self, tmp_path, monkeypatch):
+        # the harness's pinned mid-run trips (faint constant input on a
+        # 3-node ring, guard 440): 5 of 8 runs lost, 3 averaged per algorithm
+        monkeypatch.setattr(harness, "_MAX_EXCLUDED_FRACTION", 1.0)
+        cfg = resolve_config({
+            "network": {"nodes": "3", "topology": "ring"},
+            "signal": {"profile": "constant", "level": "0.003", "taps": "2"},
+            "algorithm": {"guard": "440"},
+            "ensemble": {"runs": "8", "iterations": "400", "master_seed": "21"},
+            "output": {"plot_script": "false"}})
+        assert run_experiment(cfg, out_dir=tmp_path) == EXIT_OK
+        meta = json.loads((tmp_path / "experiment_metadata.json").read_text())
+        pinned = [[1, 394], [2, 389], [3, 389], [4, 400], [7, 397]]
+        assert meta["excluded_runs"] == {"rls": pinned, "drls": pinned}
+        assert meta["runs_effective"] == {"rls": 3, "drls": 3}
+        assert meta["master_seed"] == 21
+
     def test_theory_only_leaves_empirical_columns_empty(self, tmp_path):
         raw = {s: dict(kv) for s, kv in SMALL.items()}
         raw["algorithm"] = {"algorithms": ""}
@@ -305,6 +322,8 @@ class TestMain:
         ("signal", {"v_low": "2.0", "v_high": "2.0"}, "signal: need 0 < v_low < v_high"),
         ("signal", {"profile": "sinusoidal", "mod_depth": "1.0"},
          "signal: need level > 0 and 0 <= mod_depth < 1"),
+        # files are written as <directory>/<prefix>_*, so a prefix names no directory
+        ("output", {"prefix": "sub/run"}, "output.prefix: must be a file name, not a path"),
     ])
     def test_check_rejects_what_run_rejects(self, tmp_path, capsys, section,
                                             values, message):
@@ -377,6 +396,43 @@ class TestMain:
         assert (out / "experiment_period=4_trajectory.csv").exists()
         assert (out / "experiment_period=8_trajectory.csv").exists()
 
+    def test_sweep_metadata_names_its_files(self, tmp_path):
+        # the echoed config carries the prefix the files were written
+        # under, so replaying it writes the same files with the same bytes
+        path = tmp_path / "c.ini"
+        write_ini(path, SMALL)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(path), "--param", "signal.period",
+                     "--values", "4", "--out", str(out)]) == EXIT_OK
+        meta = json.loads((out / "experiment_period=4_metadata.json").read_text())
+        assert meta["resolved_config"]["output"]["prefix"] == "experiment_period=4"
+        replay = tmp_path / "replay.ini"
+        replay.write_text(meta["resolved_config_text"])
+        assert main(["run", str(replay), "--out", str(tmp_path / "replay")]) == EXIT_OK
+        assert ((tmp_path / "replay" / "experiment_period=4_trajectory.csv").read_bytes()
+                == (out / "experiment_period=4_trajectory.csv").read_bytes())
+
+    def test_sweep_over_prefix_keeps_file_names(self, tmp_path):
+        # the label follows the prefix the swept value sets
+        path = tmp_path / "c.ini"
+        write_ini(path, SMALL)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(path), "--param", "output.prefix",
+                     "--values", "a,b", "--out", str(out)]) == EXIT_OK
+        for name in ("a", "b"):
+            assert (out / f"{name}_prefix={name}_trajectory.csv").exists()
+
+    def test_sweep_over_nested_directory_is_validation_error(self, tmp_path, capsys):
+        # the label puts the value in the prefix, so a value with a path
+        # separator stops at validation instead of failing to write the CSV
+        path = tmp_path / "c.ini"
+        write_ini(path, SMALL)
+        assert main(["sweep", str(path), "--param", "output.directory",
+                     "--values", "sub/dir", "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "output.prefix: must be a file name" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_bad_param(self, tmp_path):
         path = tmp_path / "c.ini"
         write_ini(path, SMALL)
@@ -448,4 +504,19 @@ def test_reproduce_full_scale_script_explicit_edges(tmp_path, capsys):
                         "--runs", "1", "--periods", "4,8"]) == 0
     for T in (4, 8):
         assert (out / f"experiment_T={T}_trajectory.csv").exists()
+        meta = json.loads((out / f"experiment_T={T}_metadata.json").read_text())
+        assert meta["resolved_config"]["output"]["prefix"] == f"experiment_T={T}"
     assert "== period T=8 ==" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)
+def test_shipped_config_checks_and_runs(tmp_path, config):
+    # every shipped config validates, and runs end to end at a tiny size
+    assert main(["check", str(config)]) == EXIT_OK
+    cfg = with_overrides(parse_config(config), {
+        "ensemble.runs": "2", "ensemble.iterations": "20",
+        "output.directory": str(tmp_path / "out")})
+    assert run_experiment(cfg) == EXIT_OK
+    prefix = cfg["output"]["prefix"]
+    lines = (tmp_path / "out" / f"{prefix}_trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1 + 20

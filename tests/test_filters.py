@@ -34,10 +34,12 @@ class TestInitState:
         assert np.array_equal(state.w, np.zeros(2))
 
     def test_first_error_equals_d(self):
+        # w_0 = 0, so the prior error d - x^T w is d and psi = g d
         state = init_state(3, delta=0.1)
         x, d = np.ones(3), 4.2
-        e, _ = adapt(state, x, d, update(state.P, x, LAM))
-        assert e == pytest.approx(4.2)
+        gain = update(state.P, x, LAM)
+        assert d - x @ state.w == pytest.approx(4.2)
+        assert np.allclose(adapt(state, x, d, gain), gain * 4.2)
 
 
 class TestInverseCorrelationUpdate:
@@ -101,7 +103,7 @@ class TestAdapt:
         state.w = np.array([1.0, -1.0])
         x = np.array([1.0, 1.0])
         d = float(x @ state.w)  # e = 0
-        _, psi = adapt(state, x, d, update(state.P, x, LAM))
+        psi = adapt(state, x, d, update(state.P, x, LAM))
         assert np.allclose(psi, state.w)
 
     def test_scalar_noiseless_convergence(self):
@@ -119,7 +121,7 @@ class TestAdapt:
         # catastrophic cancellation in the rank-one update
         state = init_state(1, delta=1e-8)
         x, d = np.array([2.0]), 3.0
-        _, psi = adapt(state, x, d, update(state.P, x, LAM))
+        psi = adapt(state, x, d, update(state.P, x, LAM))
         assert psi[0] == pytest.approx(d / x[0], rel=1e-6)
 
 

@@ -117,6 +117,11 @@ def independent_states_msd(comb, nv, amplitude, params, lam, delta, spec,
     return msd
 
 
+def chunk_runs(monkeypatch, B):
+    """Simulate B runs per chunk: run_ensemble looks `_default_chunk` up at each call."""
+    monkeypatch.setattr(drlsnet.harness, "_default_chunk", lambda K, N, L: B)
+
+
 def load_spans():
     """perfbench/spans.py as a module, executed from its source (nothing written)."""
     module = types.ModuleType("perfbench_spans")
@@ -199,7 +204,7 @@ class TestRunEnsemble:
         spec = EnsembleSpec(runs=7, iterations=80, master_seed=13)
 
         def run(chunk):
-            monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", chunk)
+            chunk_runs(monkeypatch, chunk)
             return run_ensemble(comb, nv, amplitude_table(CONST, nodes=4),
                                 ColoredProcessParams(rho=0.8, length=3),
                                 0.995, 0.01, spec, include_theory=False)
@@ -225,7 +230,7 @@ class TestRunEnsemble:
                                 snapshot_every=50)
 
         monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
-        monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 3)
+        chunk_runs(monkeypatch, 3)
         monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", 10 ** 9)
         want = run()
         # 3 runs x 3 nodes x 2 taps per iteration in each chunk
@@ -275,7 +280,7 @@ class TestRunEnsemble:
         assert drls.shape == (60,) and np.isfinite(drls).all()
         assert np.array_equal(mean_error(("rls", "drls")), drls)
         assert mean_error(("rls",)) is None
-        monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 2)
+        chunk_runs(monkeypatch, 2)
         assert np.array_equal(mean_error(("drls",)), drls)
 
     def test_initial_msd_anchor(self):
@@ -302,7 +307,7 @@ class TestRunEnsemble:
         # the guard between iterations 389 and 400, each algorithm loses
         # the same runs, and the survivors' curves stay finite
         monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
-        monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 3)
+        chunk_runs(monkeypatch, 3)
         comb, nv = desk_network(3)
         spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
         traj = run_ensemble(comb, nv, FAINT,
@@ -310,7 +315,6 @@ class TestRunEnsemble:
                             spec, guard=440.0, include_theory=False)
         pinned = [(1, 394), (2, 389), (3, 389), (4, 400), (7, 397)]
         assert traj.excluded_runs == {"rls": pinned, "drls": pinned}
-        assert traj.runs_effective == {"rls": 3, "drls": 3}
         for algo in ("rls", "drls"):
             assert np.isfinite(traj.msd_empirical[algo]).all()
 
@@ -350,7 +354,7 @@ class TestRunEnsemble:
         # lost and the iterations they are lost at are those of a scan at
         # every step (each case but the last cuts off some runs mid-climb)
         monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
-        monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 3)
+        chunk_runs(monkeypatch, 3)
         monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", 3 * 3 * 2 * 64)
         comb, nv = desk_network(3)
         params = ColoredProcessParams(rho=0.8, length=2)
@@ -383,7 +387,7 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("algorithms", [("rls", "drls"), ("rls",), ("drls",)])
     def test_shared_recursion_matches_independent_states(self, monkeypatch, algorithms):
-        monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 2)
+        chunk_runs(monkeypatch, 2)
         comb, nv = desk_network(4)
         amplitude = amplitude_table(Profile(
             kind="pulsed", period=8, duty_cycle=0.5, v_low=2e-3, v_high=2.0), nodes=4)
@@ -401,7 +405,7 @@ class TestRunEnsemble:
         # the einsum oracle (symmetrized update, einsum gain and combine)
         # rounds differently from the package; over a long pulsed run with
         # faint segments the curves agree to 1e-10 relative at every iteration
-        monkeypatch.setattr(drlsnet.harness, "_RUN_CHUNK", 3)
+        chunk_runs(monkeypatch, 3)
         comb, nv = line_network(4)
         amplitude = amplitude_table(Profile(
             kind="pulsed", period=32, duty_cycle=0.5, v_low=2e-3, v_high=2.0), nodes=4)
@@ -458,55 +462,39 @@ class TestRunEnsemble:
 class TestCompare:
     def _traj(self, emp, th):
         from drlsnet.harness import Trajectory
-        return Trajectory(iterations=len(emp), master_seed=0,
-                          msd_empirical={"drls": np.asarray(emp)},
+        return Trajectory(iterations=len(emp), msd_empirical={"drls": np.asarray(emp)},
                           msd_theory=None if th is None else np.asarray(th),
                           mean_err_norm_theory=None)
 
     def test_identical_curves_zero_deviation(self):
         curve = np.geomspace(1.0, 1e-4, 1000)
-        rep = compare_theory_empirical(self._traj(curve, curve),
-                                       transient_window=(50, 500),
-                                       steady_window=200)
+        rep = compare_theory_empirical(self._traj(curve, curve))
         assert rep["steady_mean_abs_db"] == 0.0
         assert rep["transient_max_abs_db"] == 0.0
 
     def test_constant_offset(self):
         curve = np.geomspace(1.0, 1e-4, 1000)
-        rep = compare_theory_empirical(self._traj(curve, 10 ** 0.1 * curve),
-                                       transient_window=(50, 500),
-                                       steady_window=200)
+        rep = compare_theory_empirical(self._traj(curve, 10 ** 0.1 * curve))
         assert rep["steady_mean_abs_db"] == pytest.approx(1.0, abs=1e-9)
 
     def test_missing_curve_rejected(self):
         with pytest.raises(ValueError):
             compare_theory_empirical(self._traj([1.0], None))
 
-    @pytest.mark.parametrize("transient, steady", [
-        ((0, 400), 100),    # would slice dev[-1:400], the last sample only
-        ((-5, 10), 100),
-        ((50, 401), 100),   # would be cut short at the curve's end
-        ((60, 50), 100),
-        ((50, 400), 401),
-        ((50, 400), 0),     # would slice dev[-0:], the whole curve
-    ])
-    def test_windows_outside_curve_rejected(self, transient, steady):
-        curve = np.geomspace(1.0, 1e-4, 400)
-        with pytest.raises(ValueError, match="outside iterations 1..400"):
-            compare_theory_empirical(self._traj(curve, curve),
-                                     transient_window=transient, steady_window=steady)
-
     def test_windows_at_curve_bounds(self):
-        # one-sample windows at either end and whole-curve windows are valid
-        curve = np.geomspace(1.0, 1e-4, 400)
-        offset = curve * 10 ** (np.arange(400) / 4000)  # dB gap n/400 at iteration n+1
-        traj = self._traj(curve, offset)
-        first = compare_theory_empirical(traj, transient_window=(1, 1), steady_window=1)
-        assert first["transient_max_abs_db"] == pytest.approx(0.0, abs=1e-12)
-        assert first["steady_max_abs_db"] == pytest.approx(399 / 400)
-        whole = compare_theory_empirical(traj, transient_window=(1, 400), steady_window=400)
-        assert whole["transient_mean_abs_db"] == pytest.approx(399 / 800)
-        assert whole["steady_mean_abs_db"] == whole["transient_mean_abs_db"]
+        # the windows are derived from N and clamped to 1..N: transient
+        # min(50, N)..min(500, N), steady the last min(500, max(1, N // 4));
+        # a gap of n/1000 dB at iteration n gives each window's mean and max
+        for N, (lo, hi, steady) in {1: (1, 1, 1), 3: (3, 3, 1), 60: (50, 60, 15),
+                                    1000: (50, 500, 250), 3000: (50, 500, 500)}.items():
+            curve = np.geomspace(1.0, 1e-4, N)
+            n = np.arange(1, N + 1)
+            rep = compare_theory_empirical(self._traj(curve * 10 ** (n / 10000), curve))
+            assert rep["transient_mean_abs_db"] == pytest.approx((lo + hi) / 2000, rel=1e-9)
+            assert rep["transient_max_abs_db"] == pytest.approx(hi / 1000, rel=1e-9)
+            assert rep["steady_mean_abs_db"] == pytest.approx((2 * N - steady + 1) / 2000,
+                                                              rel=1e-9)
+            assert rep["steady_max_abs_db"] == pytest.approx(N / 1000, rel=1e-9)
 
 
 class TestDetectPeriodicity:
