@@ -30,27 +30,18 @@ CSV_COLUMNS = ("iteration", "msd_rls_empirical_db", "msd_drls_empirical_db",
                "msd_drls_theory_db", "mean_err_norm_theory")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
-
 def emit_csv(traj: Trajectory, path) -> None:
     """Write the per-iteration trajectory with the fixed column contract."""
-    cols = {
-        "msd_rls_empirical_db": to_db(traj.msd_empirical["rls"])
-        if "rls" in traj.msd_empirical else None,
-        "msd_drls_empirical_db": to_db(traj.msd_empirical["drls"])
-        if "drls" in traj.msd_empirical else None,
-        "msd_drls_theory_db": to_db(traj.msd_theory)
-        if traj.msd_theory is not None else None,
-        "mean_err_norm_theory": traj.mean_err_norm_theory,
-    }
+    cols = {f"msd_{a}_empirical_db": to_db(c) for a, c in traj.msd_empirical.items()}
+    if traj.msd_theory is not None:
+        cols["msd_drls_theory_db"] = to_db(traj.msd_theory)
+    cols["mean_err_norm_theory"] = traj.mean_err_norm_theory
     lines = [",".join(CSV_COLUMNS)]
     for n in range(traj.iterations):
         row = [str(n + 1)]
         for name in CSV_COLUMNS[1:]:
-            col = cols[name]
-            row.append(_fmt(col[n]) if col is not None else "")
+            col = cols.get(name)
+            row.append(f"{col[n]:.12g}" if col is not None else "")
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -147,8 +138,23 @@ print("wrote", Path(__file__).with_suffix(".png"))
 '''
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation errors: exit 1, since 2 means numeric failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
+def tolerance(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="drlsnet",
         description="Diffusion RLS transient analysis: simulate, iterate the "
                     "theoretical models, and compare.")
@@ -160,8 +166,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", help="override output directory")
     p_run.add_argument("--check-acceptance", action="store_true",
                        help="exit 3 if theory/empirical deviation exceeds tolerance")
-    p_run.add_argument("--steady-tol-db", type=float, default=1.0)
-    p_run.add_argument("--transient-tol-db", type=float, default=2.0)
+    p_run.add_argument("--steady-tol-db", type=tolerance, default=1.0)
+    p_run.add_argument("--transient-tol-db", type=tolerance, default=2.0)
 
     p_sweep = sub.add_parser("sweep", help="run one experiment per value of a parameter")
     p_sweep.add_argument("config")

@@ -44,10 +44,6 @@ class Topology:
         object.__setattr__(self, "adjacency", adj)
         self.adjacency.setflags(write=False)
 
-    @property
-    def node_count(self) -> int:
-        return self.adjacency.shape[0]
-
     def degrees(self) -> np.ndarray:
         """Closed-neighborhood sizes |N_k| (self-loop included)."""
         return self.adjacency.sum(axis=1)
@@ -117,7 +113,7 @@ def build_combination_matrix(topo: Topology, rule: str = "uniform") -> Combinati
     mass on the diagonal; symmetric, hence also left-stochastic.
     """
     adj = topo.adjacency
-    K = topo.node_count
+    K = len(adj)
     if rule == "uniform":
         A = adj / topo.degrees()[None, :]
     elif rule == "metropolis":

@@ -7,17 +7,17 @@ Three coupled recursions are iterated per time step n:
   second moment          K_n = cA (lam^2 B K_{n-1} B^T
                                    + E{Phi_n}^-1 Sigma_z R_x(n) E{Phi_n}^-1) cA^T
 
-with B = E{Phi_n}^-1 E{Phi_{n-1}}, solved once per step for the last two,
-and cA = A^T (x) I_L.  Everything is kept in block form: E{Phi} as
-(K, L, L) diagonal blocks, the mean error as (K, L), and K_n as a
-(K, K, L, L) block grid, so the expanded KL x KL matrices are never
-formed.  The network MSD is tr(K_n)/K.
+with B = E{Phi_n}^-1 E{Phi_{n-1}} and cA = A^T (x) I_L.  Everything is kept
+in block form: E{Phi} as (K, L, L) diagonal blocks, the mean error as
+(K, L), and K_n as a (K, K, L, L) block grid, so the expanded KL x KL
+matrices are never formed.  The network MSD is tr(K_n)/K.
 
-The K_n contractions run on BLAS: B K_{n-1} B^T is one batched matmul
-over the (K, K) grid of blocks, and applying cA on both sides is two
-GEMMs of A^T against (K, K*L*L) reshapes of the grid.  R_x(n) is built
-per step from R_u and the (K, T) table of sigma_x over one period, so
-memory does not grow with the period.
+R_x(n), E{Phi_n}, B and the noise term Phi^-1 R_x(n) Phi^-1 depend on a
+node only through its row of the (K, T) sigma_x table, read at n mod T, so
+they are solved once per distinct row and gathered per node.  The K_n step
+runs in place on two grids (3.3 MB each at K=20, L=32): B K_{n-1} B^T is a
+batched matmul over the (K, K) grid of blocks, and cA on both sides is two
+GEMMs of A^T against (K, K*L*L) reshapes of the grid.
 """
 
 from __future__ import annotations
@@ -71,35 +71,30 @@ def mean_error_step(mean_err_prev: np.ndarray, B: np.ndarray, A: np.ndarray,
     return lam * np.einsum("lk,li->ki", A, v)
 
 
-def k_matrix_step(Kmat_prev: np.ndarray, B: np.ndarray, EPhi_n: np.ndarray,
+def k_matrix_step(Kmat_prev: np.ndarray, B: np.ndarray, noise: np.ndarray,
                   A: np.ndarray, lam: float, noise_variances: np.ndarray,
-                  R_x_n: np.ndarray) -> np.ndarray:
-    """Second-moment recursion in block form; output symmetrized.
+                  work: np.ndarray) -> np.ndarray:
+    """Second-moment recursion in block form, in place; output symmetrized.
 
-    Kmat_prev is the (K, K, L, L) block grid of K_{n-1} and B the
-    transition blocks of the step; the noise term
-    sigma_{z,k}^2 * Phi_k^-1 R_{x,k}(n) Phi_k^-1 lands on the diagonal
-    blocks only (spatially independent noise).
+    Kmat_prev (K_{n-1}) and `work` are C-contiguous (K, K, L, L) grids: K_n
+    overwrites Kmat_prev and is returned, `work` is scratch.  B and noise are
+    the (K, L, L) blocks B_k and Phi_k^-1 R_{x,k}(n) Phi_k^-1; sigma_{z,k}^2
+    noise_k lands on the diagonal blocks only (spatially independent noise).
     """
-    # `work` and `inner` are the step's two (K, K, L, L) buffers, reused in
-    # place: at K=20, L=32 each is 3.3 MB, and a fresh one per product costs
-    # about a third of the step in page faults
-    work = B[:, None] @ Kmat_prev
-    inner = work @ np.swapaxes(B, -1, -2)[None]
-    inner *= lam ** 2
-    noise = np.linalg.solve(EPhi_n, R_x_n)               # Phi^-1 R_x
-    noise = np.linalg.solve(EPhi_n, np.swapaxes(noise, -1, -2))  # Phi^-1 R_x Phi^-1
-    K = EPhi_n.shape[0]
-    idx = np.arange(K)
-    inner[idx, idx] += noise_variances[:, None, None] * noise
-    # out[k, l] = sum_pq A[p, k] A[q, l] inner[p, q]: contract p, swap the
-    # grid axes, contract q; `work` then holds out with its grid axes swapped
-    np.matmul(A.T, inner.reshape(K, -1), out=work.reshape(K, -1))
-    np.copyto(inner, np.swapaxes(work, 0, 1))
-    np.matmul(A.T, inner.reshape(K, -1), out=work.reshape(K, -1))
-    out = np.swapaxes(work, 0, 1) + np.swapaxes(work, -1, -2)
-    out *= 0.5
-    return out
+    K = len(B)
+    np.matmul(B[:, None], Kmat_prev, out=work)
+    np.matmul(work, np.swapaxes(B, -1, -2)[None], out=Kmat_prev)
+    Kmat_prev *= lam ** 2
+    Kmat_prev[range(K), range(K)] += noise_variances[:, None, None] * noise
+    # out[k, l] = sum_pq A[p, k] A[q, l] in[p, q]: contract p, swap the grid
+    # axes, contract q; `work` then holds out with its grid axes swapped
+    np.matmul(A.T, Kmat_prev.reshape(K, -1), out=work.reshape(K, -1))
+    np.copyto(Kmat_prev, np.swapaxes(work, 0, 1))
+    np.matmul(A.T, Kmat_prev.reshape(K, -1), out=work.reshape(K, -1))
+    np.copyto(Kmat_prev, np.swapaxes(work, -1, -2))
+    Kmat_prev += np.swapaxes(work, 0, 1)
+    Kmat_prev *= 0.5
+    return Kmat_prev
 
 
 def network_msd(Kmat: np.ndarray) -> float:
@@ -122,24 +117,27 @@ def theoretical_trajectory(amplitude: np.ndarray,
     is singular, tr(K_n)/K or ||E{werr_n}|| is not finite, or K_n loses
     positive semidefiniteness beyond PSD_TOL relative to its scale.
     """
-    K = A.shape[0]
-    L = params.length
+    K, L = A.shape[0], params.length
     if np.ndim(amplitude) != 2 or len(amplitude) != K:
         raise ValueError(f"expected a ({K}, T) amplitude table, got {np.shape(amplitude)}")
+    # per-row statistics; `[group]` gathers a contiguous per-node copy of them
+    rows, group = np.unique(amplitude, axis=0, return_inverse=True)
     EPhi, mean_err, Kmat = initial_theory_state(K, L, delta, w_star)
-    msd = np.empty(N)
-    err_norm = np.empty(N)
-    # R_x(n) = Sigma_x(n) R_u Sigma_x(n) per node, Sigma_x(n) = diag(sigma_x(n-i)),
+    EPhi, work = EPhi[:len(rows)], np.empty_like(Kmat)
+    msd, err_norm = np.empty(N), np.empty(N)
+    # R_x(n) = Sigma_x(n) R_u Sigma_x(n) per row, Sigma_x(n) = diag(sigma_x(n-i)),
     # entrywise; sigma_x(n) depends on n only through n mod T
     R_u = colored_autocorrelation(params)
     lags = np.arange(L)
     for n in range(1, N + 1):
-        s = amplitude[:, (n - lags) % amplitude.shape[1]]
+        s = rows[:, (n - lags) % rows.shape[1]]
         R_x_n = R_u * (s[:, :, None] * s[:, None, :])
         EPhi_n = expected_phi_step(EPhi, R_x_n, lam)
-        B = transition_blocks(EPhi_n, EPhi)
+        B = transition_blocks(EPhi_n, EPhi)[group]
+        noise = np.linalg.solve(EPhi_n, R_x_n)                      # Phi^-1 R_x
+        noise = np.linalg.solve(EPhi_n, np.swapaxes(noise, -1, -2))  # Phi^-1 R_x Phi^-1
         mean_err = mean_error_step(mean_err, B, A, lam)
-        Kmat = k_matrix_step(Kmat, B, EPhi_n, A, lam, noise_variances, R_x_n)
+        Kmat = k_matrix_step(Kmat, B, noise[group], A, lam, noise_variances, work)
         EPhi = EPhi_n
         m = network_msd(Kmat)
         e = float(np.linalg.norm(mean_err))

@@ -14,6 +14,8 @@ from scipy.sparse.csgraph import connected_components
 
 from drlsnet.filters import init_state, update_inverse_correlation
 from drlsnet.signals import colored_autocorrelation
+from drlsnet.theory import (expected_phi_step, initial_theory_state, mean_error_step,
+                            network_msd, transition_blocks)
 
 
 class Profile(NamedTuple):
@@ -92,6 +94,53 @@ def dense_theory(profiles, rho: float, A: np.ndarray, noise_variances: np.ndarra
         phi = phi_new
         msd[n - 1] = np.trace(kmat) / K
     return msd
+
+
+def noise_term(EPhi_n: np.ndarray, R_x_n: np.ndarray) -> np.ndarray:
+    """Phi_k^-1 R_{x,k}(n) Phi_k^-1 per block, by the theory's two solves."""
+    noise = np.linalg.solve(EPhi_n, R_x_n)
+    return np.linalg.solve(EPhi_n, np.swapaxes(noise, -1, -2))
+
+
+def allocating_k_matrix_step(Kmat_prev, B, EPhi_n, A, lam, noise_variances, R_x_n):
+    """K_n from K_{n-1} as the package computed it before its step ran in place
+    on two grids: the same operations in the same order, into fresh grids."""
+    work = B[:, None] @ Kmat_prev
+    inner = work @ np.swapaxes(B, -1, -2)[None]
+    inner *= lam ** 2
+    noise = noise_term(EPhi_n, R_x_n)
+    K = EPhi_n.shape[0]
+    idx = np.arange(K)
+    inner[idx, idx] += noise_variances[:, None, None] * noise
+    np.matmul(A.T, inner.reshape(K, -1), out=work.reshape(K, -1))
+    np.copyto(inner, np.swapaxes(work, 0, 1))
+    np.matmul(A.T, inner.reshape(K, -1), out=work.reshape(K, -1))
+    out = np.swapaxes(work, 0, 1) + np.swapaxes(work, -1, -2)
+    out *= 0.5
+    return out
+
+
+def per_node_theory(amplitude, params, A, noise_variances, w_star, lam, delta,
+                    N) -> tuple[np.ndarray, np.ndarray]:
+    """(msd, mean_err_norm) of `drlsnet.theory.theoretical_trajectory`, with
+    R_x(n), E{Phi_n}, B and the noise term built and solved for every node
+    on its own, and K_n stepped into fresh grids; no breakdown checks."""
+    K, L = A.shape[0], params.length
+    EPhi, mean_err, Kmat = initial_theory_state(K, L, delta, w_star)
+    msd, err_norm = np.empty(N), np.empty(N)
+    R_u = colored_autocorrelation(params)
+    lags = np.arange(L)
+    for n in range(1, N + 1):
+        s = amplitude[:, (n - lags) % amplitude.shape[1]]
+        R_x_n = R_u * (s[:, :, None] * s[:, None, :])
+        EPhi_n = expected_phi_step(EPhi, R_x_n, lam)
+        B = transition_blocks(EPhi_n, EPhi)
+        mean_err = mean_error_step(mean_err, B, A, lam)
+        Kmat = allocating_k_matrix_step(Kmat, B, EPhi_n, A, lam, noise_variances, R_x_n)
+        EPhi = EPhi_n
+        msd[n - 1] = network_msd(Kmat)
+        err_norm[n - 1] = np.linalg.norm(mean_err)
+    return msd, err_norm
 
 
 def lfilter_ar1(innov: np.ndarray, rho: float, zi) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from drlsnet.signals import (ColoredProcessParams, colored_autocorrelation,
                              generate_node_signals, make_ground_truth)
 from drlsnet.theory import (expected_phi_step, initial_theory_state,
                             k_matrix_step, mean_error_step, transition_blocks)
-from oracles import Profile, amplitude_table, input_covariance, sigma_at
+from oracles import Profile, amplitude_table, input_covariance, noise_term, sigma_at
 
 K, L, LAM, DELTA, RHO = 10, 8, 0.995, 0.01, 0.8
 MASTER_SEED = 42
@@ -189,6 +189,7 @@ class TestCriterion5OracleEquivalences:
         sigma_z2 = 0.04
         w_star = np.array([1.0])
         EPhi, mean_err, Kmat = initial_theory_state(1, 1, DELTA, w_star)
+        work = np.empty_like(Kmat)
         # independent scalar recursions written out longhand
         ephi, ew, kk = DELTA, -1.0, 1.0
         worst = 0.0
@@ -205,8 +206,8 @@ class TestCriterion5OracleEquivalences:
             EPhi_new = expected_phi_step(EPhi, R, LAM)
             B = transition_blocks(EPhi_new, EPhi)
             mean_err = mean_error_step(mean_err, B, np.eye(1), LAM)
-            Kmat = k_matrix_step(Kmat, B, EPhi_new, np.eye(1), LAM,
-                                 np.array([sigma_z2]), R)
+            Kmat = k_matrix_step(Kmat, B, noise_term(EPhi_new, R), np.eye(1), LAM,
+                                 np.array([sigma_z2]), work)
             EPhi = EPhi_new
             worst = max(worst,
                         abs(EPhi[0, 0, 0] - ephi),

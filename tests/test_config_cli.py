@@ -387,6 +387,34 @@ class TestMain:
                      "--transient-tol-db", "1e-9"])
         assert code == EXIT_ACCEPTANCE
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "{cfg}"],
+        ["run"],
+        ["run", "{cfg}", "--steady-tol-db", "abc"],
+        ["run", "{cfg}", "--steady-tol-db", "nan"],
+        ["run", "{cfg}", "--steady-tol-db", "-0.5"],
+        ["run", "{cfg}", "--transient-tol-db", "inf"],
+        ["run", "{cfg}", "--check-acceptance", "--transient-tol-db", "-1"],
+    ], ids=["sweep-no-param", "run-no-config", "tol-abc", "tol-nan", "tol-negative",
+            "tol-inf", "tol-negative-checked"])
+    def test_usage_error_is_validation_error(self, tmp_path, capsys, argv):
+        # argparse's own exit code is 2, which this CLI reserves for numeric
+        # failure; a bad tolerance is refused before anything is simulated
+        path = tmp_path / "c.ini"
+        write_ini(path, SMALL)
+        argv = [a.format(cfg=path) for a in argv] + ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        assert "usage: drlsnet" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_tolerance_is_accepted(self, tmp_path):
+        path = tmp_path / "c.ini"
+        write_ini(path, SMALL)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--check-acceptance",
+                     "--steady-tol-db", "0", "--transient-tol-db", "0"]) == EXIT_ACCEPTANCE
+
     def test_sweep_labels_outputs(self, tmp_path):
         path = tmp_path / "c.ini"
         write_ini(path, SMALL)

@@ -10,7 +10,10 @@ config:
 - `check` and `run` give the same exit code, 0 or 1;
 - the Monte Carlo outputs are bit-identical with one run per chunk, all
   runs in one chunk, and signal blocks of a few iterations;
-- the theory MSD is within 1e-12 relative of the dense oracle.
+- the theory MSD is within 1e-12 relative of the dense oracle;
+- the theory, which solves each distinct sigma_x row once, is bit-identical
+  to the per-node oracle;
+- with identity combination rows, the DRLS curve equals the RLS curve.
 """
 
 import numpy as np
@@ -18,9 +21,9 @@ import pytest
 
 import drlsnet.harness
 from drlsnet.cli import EXIT_OK, EXIT_VALIDATION, main
-from drlsnet.config import parse_config
+from drlsnet.config import parse_config, with_overrides
 from drlsnet.harness import run_ensemble
-from oracles import Profile, dense_theory
+from oracles import Profile, dense_theory, per_node_theory
 
 SWEEP_SEED = 2008
 CASES = 30
@@ -186,3 +189,15 @@ def test_drawn_config(tmp_path, monkeypatch, capsys, case):
                         cfg.noise_variances(), whole.w_star,
                         cfg["algorithm"]["forgetting_factor"], cfg["algorithm"]["delta"], N)
     assert (np.abs(whole.msd_theory - want) <= 1e-12 * want).all()
+    msd, err_norm = per_node_theory(
+        cfg.build_profiles(), cfg.process_params(), cfg.build_combiner().A,
+        cfg.noise_variances(), whole.w_star, cfg["algorithm"]["forgetting_factor"],
+        cfg["algorithm"]["delta"], N)
+    assert np.array_equal(whole.msd_theory, msd)
+    assert np.array_equal(whole.mean_err_norm_theory, err_norm)
+
+    # A = I: each node combines only its own estimate, so DRLS is RLS
+    identity = "; ".join(_floats(row) for row in np.eye(K))
+    alone = simulate(with_overrides(cfg, {"network.combination_rows": identity,
+                                          "algorithm.algorithms": "rls, drls"}), theory=False)
+    assert np.array_equal(alone.msd_empirical["drls"], alone.msd_empirical["rls"])

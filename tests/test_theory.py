@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from drlsnet.theory import (TheoryError, expected_phi_step,
                             initial_theory_state, k_matrix_step,
                             mean_error_step, network_msd,
                             theoretical_trajectory, transition_blocks)
-from oracles import Profile, amplitude_table, input_covariance
+from oracles import Profile, amplitude_table, input_covariance, noise_term, per_node_theory
 
 LAM = 0.995
 PULSED4 = Profile(kind="pulsed", period=4, duty_cycle=0.5,
@@ -26,12 +27,10 @@ def expand_blocks(Kmat: np.ndarray) -> np.ndarray:
     return Kmat.transpose(0, 2, 1, 3).reshape(K * L, K * L)
 
 
-def einsum_k_matrix_step(Kmat_prev, B, EPhi_n, A, lam, noise_variances, R_x_n):
+def einsum_k_matrix_step(Kmat_prev, B, noise, A, lam, noise_variances):
     """Reference second-moment step: the contractions written as einsum."""
     inner = lam ** 2 * np.einsum("pab,pqbc,qdc->pqad", B, Kmat_prev, B)
-    noise = np.linalg.solve(EPhi_n, R_x_n)
-    noise = np.linalg.solve(EPhi_n, np.swapaxes(noise, -1, -2))
-    idx = np.arange(EPhi_n.shape[0])
+    idx = np.arange(len(B))
     inner[idx, idx] += noise_variances[:, None, None] * noise
     out = np.einsum("pk,ql,pqab->klab", A, A, inner)
     return 0.5 * (out + np.swapaxes(np.swapaxes(out, 0, 1), -1, -2))
@@ -167,13 +166,14 @@ class TestKMatrix:
         A = np.array([[1.0]])
         EPhi = np.array([[[delta]]])
         Kmat = np.array([[[[1.0]]]])
+        work = np.empty_like(Kmat)
         for n in range(1000):
             phi = LAM * phi_prev + r
             k_hand = LAM ** 2 * (phi_prev / phi) ** 2 * k_hand + sz2 * r / phi ** 2
             R = np.array([[[r]]])
             EPhi_n = expected_phi_step(EPhi, R, LAM)
-            Kmat = k_matrix_step(Kmat, transition_blocks(EPhi_n, EPhi), EPhi_n, A,
-                                 LAM, np.array([sz2]), R)
+            Kmat = k_matrix_step(Kmat, transition_blocks(EPhi_n, EPhi), noise_term(EPhi_n, R),
+                                 A, LAM, np.array([sz2]), work)
             assert abs(Kmat[0, 0, 0, 0] - k_hand) < 1e-12 * max(1.0, k_hand)
             EPhi, phi_prev = EPhi_n, phi
 
@@ -190,8 +190,8 @@ class TestKMatrix:
         R = np.stack([input_covariance(CONST, ColoredProcessParams(0.5, L), 0)] * K)
         EPhi_n = expected_phi_step(EPhi_prev, R, LAM)
         sz = np.array([0.1, 0.2, 0.3])
-        out = k_matrix_step(Kprev, transition_blocks(EPhi_n, EPhi_prev), EPhi_n,
-                            A, LAM, sz, R)
+        out = k_matrix_step(Kprev, transition_blocks(EPhi_n, EPhi_prev),
+                            noise_term(EPhi_n, R), A, LAM, sz, np.empty_like(Kprev))
 
         calA = np.kron(A.T, np.eye(L))
         EPhi_n_d = np.zeros((K * L, K * L))
@@ -230,8 +230,11 @@ class TestKMatrix:
             assert not np.allclose(A, A.T)
         sz = rng.uniform(0.01, 0.1, K)
         B = np.linalg.solve(EPhi_n, EPhi_prev)
-        out = k_matrix_step(Kprev, B, EPhi_n, A, LAM, sz, R)
-        want = einsum_k_matrix_step(Kprev, B, EPhi_n, A, LAM, sz, R)
+        noise = noise_term(EPhi_n, R)
+        want = einsum_k_matrix_step(Kprev, B, noise, A, LAM, sz)
+        # K_n overwrites K_{n-1}; what `work` held before is never read
+        out = k_matrix_step(Kprev, B, noise, A, LAM, sz, np.full_like(Kprev, np.nan))
+        assert out is Kprev
         assert out.shape == (K, K, L, L)
         assert _rel_dev(out, want) <= 1e-12
 
@@ -245,11 +248,12 @@ class TestKMatrix:
         K, L = 5, 2
         EPhi, _, Kmat = initial_theory_state(K, L, 0.01, w)
         sz = np.full(K, 0.05)
+        work = np.empty_like(Kmat)
         for n in range(1, 10_001):
             R = np.broadcast_to(input_covariance(profile, params, n), (K, L, L))
             EPhi_n = expected_phi_step(EPhi, R, LAM)
-            Kmat = k_matrix_step(Kmat, transition_blocks(EPhi_n, EPhi), EPhi_n, A,
-                                 LAM, sz, R)
+            Kmat = k_matrix_step(Kmat, transition_blocks(EPhi_n, EPhi), noise_term(EPhi_n, R),
+                                 A, LAM, sz, work)
             EPhi = EPhi_n
             if n % 500 == 0:
                 dense = expand_blocks(Kmat)
@@ -327,8 +331,9 @@ class TestTrajectory:
         assert np.isfinite(msd).all()
 
     def test_one_transition_solve_per_step(self, monkeypatch):
-        # B_k is solved once per step and the same array reaches both steps;
-        # each step function is still called once per step
+        # B is solved once per step and distinct sigma_x row (one row here),
+        # and the same per-node gather of it reaches both steps; each step
+        # function is still called once per step
         calls = {name: [] for name in ("transition_blocks", "expected_phi_step",
                                        "mean_error_step", "k_matrix_step")}
         for name, record in calls.items():
@@ -339,19 +344,23 @@ class TestTrajectory:
                 return out
             monkeypatch.setattr(theory, name, spy)
         A = build_combination_matrix(build_topology("ring", 3)).A
-        theoretical_trajectory(amplitude_table(PULSED4, nodes=3),
-                               ColoredProcessParams(rho=0.5, length=2), A,
+        amplitude = amplitude_table(PULSED4, nodes=3)
+        group = np.unique(amplitude, axis=0, return_inverse=True)[1]
+        theoretical_trajectory(amplitude, ColoredProcessParams(rho=0.5, length=2), A,
                                np.full(3, 0.05), make_ground_truth(2, 1),
                                LAM, 0.01, 9)
         assert [len(v) for v in calls.values()] == [9] * 4
         for B, mean_args, k_args in zip(calls["transition_blocks"],
                                         calls["mean_error_step"], calls["k_matrix_step"]):
-            assert mean_args[1] is B and k_args[1] is B
+            assert B.shape == (1, 2, 2)
+            assert k_args[1] is mean_args[1]
+            assert np.array_equal(mean_args[1], B[group])
 
     @pytest.mark.parametrize("period, taps", [(8, 5), (3, 7)])
     def test_per_step_input_covariance_is_input_covariance(self, monkeypatch,
                                                            period, taps):
-        # every R_x(n) the trajectory feeds its steps, n = 1..2T
+        # every R_x(n) the trajectory feeds its steps, n = 1..2T, one per
+        # distinct sigma_x row and gathered back per node
         params = ColoredProcessParams(rho=0.7, length=taps)
         profs = [Profile(kind="pulsed", period=period, duty_cycle=0.5,
                          v_low=2e-3, v_high=2.0, phase=p)
@@ -365,13 +374,15 @@ class TestTrajectory:
             return step(EPhi_prev, R_x_n, lam)
 
         monkeypatch.setattr(theory, "expected_phi_step", recording)
-        theoretical_trajectory(amplitude_table(*profs), params, A, np.full(3, 0.05),
+        amplitude = amplitude_table(*profs)
+        group = np.unique(amplitude, axis=0, return_inverse=True)[1]
+        theoretical_trajectory(amplitude, params, A, np.full(3, 0.05),
                                make_ground_truth(taps, 3),
                                LAM, 0.01, 2 * period)
         assert len(seen) == 2 * period
         for n, R in enumerate(seen, start=1):
             want = np.stack([input_covariance(p, params, n) for p in profs])
-            assert np.array_equal(R, want), n
+            assert np.array_equal(R[group], want), n
 
     @pytest.mark.parametrize("scale, breaks", [(0.5, False), (2.0, True)])
     def test_negative_trace_tolerance(self, monkeypatch, scale, breaks):
@@ -427,11 +438,14 @@ class TestFullScale:
         oracle_dev = []
         step = theory.k_matrix_step
 
-        def checked(*args):
-            out = step(*args)
+        def checked(Kmat_prev, B, noise, A, lam, sz, work):
+            prev = Kmat_prev.copy()
+            out = step(Kmat_prev, B, noise, A, lam, sz, work)
+            assert out is Kmat_prev
             assert np.array_equal(out, np.swapaxes(np.swapaxes(out, 0, 1), -1, -2))
             if len(oracle_dev) < 3:
-                oracle_dev.append(_rel_dev(out, einsum_k_matrix_step(*args)))
+                oracle_dev.append(_rel_dev(out, einsum_k_matrix_step(prev, B, noise, A,
+                                                                     lam, sz)))
             return out
 
         monkeypatch.setattr(theory, "k_matrix_step", checked)
@@ -443,3 +457,51 @@ class TestFullScale:
         assert np.isfinite(msd).all() and (msd > 0).all()
         assert len(oracle_dev) == 3
         assert max(oracle_dev) <= 1e-12
+
+
+class TestGroupedStatistics:
+    """R_x(n), E{Phi_n}, B and the noise term solved once per distinct sigma_x
+    row and gathered per node give the per-node theory bit for bit."""
+
+    @staticmethod
+    def assert_matches_per_node(amplitude, params, A, sz, w_star, lam, delta, N):
+        got = theoretical_trajectory(amplitude, params, A, sz, w_star, lam, delta, N)
+        want = per_node_theory(amplitude, params, A, sz, w_star, lam, delta, N)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("name", ["desk_pulsed_T32", "reproduction_T512"])
+    def test_shipped_config(self, name):
+        cfg = parse_config(CONFIGS / f"{name}.ini")
+        amplitude = cfg.build_profiles()
+        assert len(np.unique(amplitude, axis=0)) == 1
+        self.assert_matches_per_node(
+            amplitude, cfg.process_params(), cfg.build_combiner().A, cfg.noise_variances(),
+            make_ground_truth(cfg["signal"]["taps"], 0),
+            cfg["algorithm"]["forgetting_factor"], cfg["algorithm"]["delta"], 50)
+
+    def test_mixed_phases(self):
+        # phases 0, 0, 3, 3, 5: three groups, gathered out of sorted order
+        profs = [Profile(kind="pulsed", period=8, duty_cycle=0.5, v_low=2e-3,
+                         v_high=2.0, phase=p) for p in (0, 0, 3, 3, 5)]
+        amplitude = amplitude_table(*profs)
+        assert len(np.unique(amplitude, axis=0)) == 3
+        A = build_combination_matrix(build_topology("ring", 5), "metropolis").A
+        self.assert_matches_per_node(amplitude, ColoredProcessParams(rho=0.8, length=3), A,
+                                     np.linspace(0.01, 0.1, 5), make_ground_truth(3, 2),
+                                     LAM, 0.01, 100)
+
+    def test_full_scale_keeps_two_grids(self):
+        # K=20, L=32: K_{n-1}'s grid and one work grid, 3.3 MB each, plus
+        # (K, L, L) stacks; the peak counts what the trajectory allocates
+        K, L = 20, 32
+        A = build_combination_matrix(build_topology("ring", K)).A
+        args = (amplitude_table(PULSED4, nodes=K), ColoredProcessParams(rho=0.8, length=L),
+                A, np.full(K, 0.05), make_ground_truth(L, 0), LAM, 0.01, 3)
+        tracemalloc.start()
+        try:
+            theoretical_trajectory(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * K * K * L * L * 8
