@@ -33,10 +33,14 @@ from drlsnet.config import parse_config, with_overrides  # noqa: E402
 from drlsnet.harness import detect_periodicity  # noqa: E402
 
 
-def read_column(csv_path: Path, name: str) -> np.ndarray:
+def read_curves(csv_path: Path) -> dict[str, np.ndarray]:
+    """The empirical MSD curves (dB) the CSV carries, by algorithm; a
+    column is empty when the config did not select its algorithm."""
     import csv
     with csv_path.open() as fh:
-        return np.array([float(row[name]) for row in csv.DictReader(fh)])
+        rows = list(csv.DictReader(fh))
+    return {algo: np.array([float(row[f"msd_{algo}_empirical_db"]) for row in rows])
+            for algo in ("drls", "rls") if rows[0][f"msd_{algo}_empirical_db"]}
 
 
 def main(argv=None) -> int:
@@ -51,27 +55,31 @@ def main(argv=None) -> int:
     base = parse_config(args.config)
     for T in (int(t) for t in args.periods.split(",")):
         overrides = {"signal.period": str(T),
-                     "output.prefix": f"{base['output']['prefix']}_T={T}"}
+                     "output.prefix": f"{base['output']['prefix']}_T={T}",
+                     "output.directory": args.out}
         if args.runs is not None:
             overrides["ensemble.runs"] = str(args.runs)
         cfg = with_overrides(base, overrides, source=f"{args.config} [period={T}]")
 
         print(f"== period T={T} ==")
         started = time.perf_counter()
-        run_experiment(cfg, out_dir=args.out)
+        run_experiment(cfg)
         elapsed = time.perf_counter() - started
 
-        csv_path = Path(args.out) / f"{cfg['output']['prefix']}_trajectory.csv"
-        drls_db = read_column(csv_path, "msd_drls_empirical_db")
-        rls_db = read_column(csv_path, "msd_rls_empirical_db")
-        gain = rls_db[-500:].mean() - drls_db[-500:].mean()
-        print(f"  steady-state MSD: drls {drls_db[-500:].mean():+.2f} dB, "
-              f"rls {rls_db[-500:].mean():+.2f} dB (gain {gain:.2f} dB)")
-        if drls_db.size >= 6 * T and T >= 4:
+        directory = cfg["output"]["directory"]
+        curves = read_curves(Path(directory) / f"{cfg['output']['prefix']}_trajectory.csv")
+        steady = {algo: curve[-500:].mean() for algo, curve in curves.items()}
+        if steady:
+            levels = ", ".join(f"{algo} {level:+.2f} dB" for algo, level in steady.items())
+            gain = (f" (gain {steady['rls'] - steady['drls']:.2f} dB)"
+                    if len(steady) == 2 else "")
+            print(f"  steady-state MSD: {levels}{gain}")
+        drls_db = curves.get("drls")
+        if drls_db is not None and drls_db.size >= 6 * T and T >= 4:
             score = detect_periodicity(drls_db, T)
             print(f"  periodicity score at 1/{T}: {score:.3f} "
                   f"({'fluctuates' if score > 0.5 else 'no visible ripple'})")
-        print(f"  outputs under {args.out}/, {elapsed:.0f} s\n")
+        print(f"  outputs under {directory}/, {elapsed:.0f} s\n")
     print("Reminder: qualitative comparison only; absolute levels depend on "
           "unpublished topology and noise choices.")
     return 0

@@ -26,6 +26,10 @@ EXIT_VALIDATION = 1
 EXIT_NUMERIC = 2
 EXIT_ACCEPTANCE = 3
 
+# acceptance criterion 1's gate on compare_theory_empirical's mean deviations, dB
+STEADY_TOL_DB = 1.0
+TRANSIENT_TOL_DB = 2.0
+
 CSV_COLUMNS = ("iteration", "msd_rls_empirical_db", "msd_drls_empirical_db",
                "msd_drls_theory_db", "mean_err_norm_theory")
 
@@ -47,9 +51,7 @@ def emit_csv(traj: Trajectory, path) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, *,
-                   check_acceptance: bool = False,
-                   steady_tol_db: float = 1.0,
-                   transient_tol_db: float = 2.0) -> int:
+                   check_acceptance: bool = False) -> int:
     """Execute one experiment and write trajectory CSV + metadata JSON."""
     out = cfg.values["output"]
     directory = Path(out_dir) if out_dir is not None else Path(out["directory"])
@@ -70,8 +72,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, *,
     csv_path = directory / f"{prefix}_trajectory.csv"
     emit_csv(traj, csv_path)
 
-    report = (compare_theory_empirical(traj)
-              if traj.msd_theory is not None and "drls" in traj.msd_empirical else None)
+    report = compare_theory_empirical(traj)
     metadata = {
         "version": __version__,
         "resolved_config": cfg.values,
@@ -93,7 +94,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, *,
         metadata["outputs"]["snapshots_npz"] = str(snap_path)
     if out["plot_script"]:
         plot_path = directory / f"{prefix}_plot.py"
-        plot_path.write_text(_plot_script(csv_path.name))
+        plot_path.write_text(_plot_script(csv_path.name), encoding="utf-8")
         metadata["outputs"]["plot_script"] = str(plot_path)
     (directory / f"{prefix}_metadata.json").write_text(
         json.dumps(metadata, indent=2, sort_keys=True) + "\n")
@@ -103,24 +104,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, *,
             print("acceptance check needs both theory and empirical drls curves",
                   file=sys.stderr)
             return EXIT_ACCEPTANCE
-        ok = (report["steady_mean_abs_db"] <= steady_tol_db
-              and report["transient_mean_abs_db"] <= transient_tol_db)
+        ok = (report["steady_mean_abs_db"] <= STEADY_TOL_DB
+              and report["transient_mean_abs_db"] <= TRANSIENT_TOL_DB)
         print(f"theory/empirical deviation: steady {report['steady_mean_abs_db']:.3f} dB "
-              f"(tol {steady_tol_db}), transient {report['transient_mean_abs_db']:.3f} dB "
-              f"(tol {transient_tol_db}) -> {'PASS' if ok else 'FAIL'}")
+              f"(tol {STEADY_TOL_DB}), transient {report['transient_mean_abs_db']:.3f} dB "
+              f"(tol {TRANSIENT_TOL_DB}) -> {'PASS' if ok else 'FAIL'}")
         if not ok:
             return EXIT_ACCEPTANCE
     return EXIT_OK
 
 
 def _plot_script(csv_name: str) -> str:
+    # the name as a Python string literal: JSON's escapes are Python's too
+    literal = json.dumps(csv_name, ensure_ascii=False)
     return f'''#!/usr/bin/env python3
-"""Plot the MSD trajectories from {csv_name} (generated file)."""
+"""Plot the MSD trajectories from {literal[1:-1]} (generated file)."""
 import csv
 from pathlib import Path
 import matplotlib.pyplot as plt
 
-rows = list(csv.DictReader(Path(__file__).with_name("{csv_name}").open()))
+rows = list(csv.DictReader(Path(__file__).with_name({literal}).open()))
 it = [int(r["iteration"]) for r in rows]
 for col, style in [("msd_rls_empirical_db", "-"),
                    ("msd_drls_empirical_db", "-"),
@@ -146,13 +149,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def tolerance(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
-
-
 def main(argv=None) -> int:
     ap = _Parser(
         prog="drlsnet",
@@ -163,17 +159,16 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a single experiment")
     p_run.add_argument("config")
-    p_run.add_argument("--out", help="override output directory")
+    p_run.add_argument("--out", help="set output.directory")
     p_run.add_argument("--check-acceptance", action="store_true",
-                       help="exit 3 if theory/empirical deviation exceeds tolerance")
-    p_run.add_argument("--steady-tol-db", type=tolerance, default=1.0)
-    p_run.add_argument("--transient-tol-db", type=tolerance, default=2.0)
+                       help=f"exit 3 if the deviation exceeds {STEADY_TOL_DB} dB steady "
+                            f"or {TRANSIENT_TOL_DB} dB transient (criterion 1)")
 
     p_sweep = sub.add_parser("sweep", help="run one experiment per value of a parameter")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--param", required=True, help="dotted key, e.g. signal.period")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.add_argument("--out", help="override output directory")
+    p_sweep.add_argument("--out", help="set output.directory, over a swept value too")
 
     p_check = sub.add_parser("check", help="validate a config without running")
     p_check.add_argument("config")
@@ -184,12 +179,13 @@ def main(argv=None) -> int:
             cfg = parse_config(args.config)
             print(config_to_text(cfg))
             return EXIT_OK
+        # --out overrides output.directory, so the metadata echoes where the files are
+        out = {} if args.out is None else {"output.directory": args.out}
         if args.command == "run":
             cfg = parse_config(args.config)
-            return run_experiment(cfg, out_dir=args.out,
-                                  check_acceptance=args.check_acceptance,
-                                  steady_tol_db=args.steady_tol_db,
-                                  transient_tol_db=args.transient_tol_db)
+            if out:
+                cfg = with_overrides(cfg, out, source=args.config)
+            return run_experiment(cfg, check_acceptance=args.check_acceptance)
         if args.command == "sweep":
             base = parse_config(args.config)
             status = EXIT_OK
@@ -199,8 +195,8 @@ def main(argv=None) -> int:
                 cfg = with_overrides(base, {args.param: value}, source=source)
                 # read after the swept value, which may be the prefix itself
                 prefix = f"{cfg['output']['prefix']}_{args.param.split('.')[-1]}={value}"
-                cfg = with_overrides(cfg, {"output.prefix": prefix}, source=source)
-                status = max(status, run_experiment(cfg, out_dir=args.out))
+                cfg = with_overrides(cfg, {"output.prefix": prefix, **out}, source=source)
+                status = max(status, run_experiment(cfg))
             return status
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

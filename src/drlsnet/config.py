@@ -253,8 +253,8 @@ def with_overrides(cfg: ExperimentConfig, overrides: dict[str, str],
     """A new config: cfg with each dotted `section.key` set from a raw string.
 
     cfg is written in its own file format (config_to_text) and read back,
-    so edges, lists and matrices keep the text form the parser expects; the
-    result is validated in full.
+    so edges, lists and matrices keep the text form the parser expects; a
+    value is stripped as in a file, and the result is validated in full.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(config_to_text(cfg))
@@ -263,7 +263,7 @@ def with_overrides(cfg: ExperimentConfig, overrides: dict[str, str],
         section, _, key = dotted.partition(".")
         if not key:
             raise ConfigError(f"override must be section.key, got {dotted!r}")
-        raw.setdefault(section, {})[key] = value
+        raw.setdefault(section, {})[key] = value.strip()
     return resolve_config(raw, source=source)
 
 

@@ -228,15 +228,16 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         excluded_runs={a: list(excluded) for a in algos})
 
 
-def compare_theory_empirical(traj: Trajectory) -> dict:
-    """Absolute dB deviation between the theory and empirical DRLS MSD curves.
+def compare_theory_empirical(traj: Trajectory) -> dict | None:
+    """Absolute dB deviation between the theory and empirical DRLS MSD curves,
+    or None when the trajectory lacks either curve.
 
     The windows are fixed and clamped to the N-iteration curves: transient
     iterations min(50, N)..min(500, N) (1-based, inclusive) and steady state
     the last min(500, max(1, N // 4)), so 50..500 and the last 500 at N = 3000.
     """
     if traj.msd_theory is None or "drls" not in traj.msd_empirical:
-        raise ValueError("trajectory must carry both curves")
+        return None
     dev = np.abs(to_db(traj.msd_empirical["drls"]) - to_db(traj.msd_theory))
     N = dev.size
     transient = dev[min(50, N) - 1:min(500, N)]

@@ -13,7 +13,8 @@ from scipy.signal import detrend, lfilter
 from scipy.sparse.csgraph import connected_components
 
 from drlsnet.filters import init_state, update_inverse_correlation
-from drlsnet.signals import colored_autocorrelation
+from drlsnet.signals import (colored_autocorrelation, generate_node_signals,
+                             make_ground_truth)
 from drlsnet.theory import (expected_phi_step, initial_theory_state, mean_error_step,
                             network_msd, transition_blocks)
 
@@ -141,6 +142,67 @@ def per_node_theory(amplitude, params, A, noise_variances, w_star, lam, delta,
         msd[n - 1] = network_msd(Kmat)
         err_norm[n - 1] = np.linalg.norm(mean_err)
     return msd, err_norm
+
+
+def blas_step(P, x, lam):
+    """(P_n, gain) in the package's arithmetic, written out with fresh arrays."""
+    Px = np.matmul(P, x[..., None])[..., 0]
+    denom = lam + np.einsum("...i,...i->...", x, Px)
+    u = Px / np.sqrt(lam * denom)[..., None]
+    return P * (1.0 / lam) - u[..., :, None] * u[..., None, :], Px / denom[..., None]
+
+
+def blas_combine(A, psi):
+    return np.matmul(A.T, psi)
+
+
+def ensemble_signals(comb, nv, amplitude, params, spec):
+    """(w_star, X, d) for every run, drawn through run_ensemble's seed layout
+    in one block per node-run: X of shape (N, R, K, L), d of shape (N, R, K)."""
+    K, L, N, R = comb.A.shape[0], params.length, spec.iterations, spec.runs
+    children = np.random.SeedSequence(spec.master_seed).spawn(1 + R)
+    w_star = make_ground_truth(L, children[0])
+    sigma_z = np.sqrt(nv)
+    X = np.empty((N, R, K, L))
+    d = np.empty((N, R, K))
+    for r in range(R):
+        for k, node in enumerate(children[1 + r].spawn(K)):
+            ss_u, ss_z = node.spawn(2)
+            X[:, r, k], d[:, r, k], _ = generate_node_signals(
+                amplitude[k], params, w_star, sigma_z[k], N,
+                np.random.default_rng(ss_u), np.random.default_rng(ss_z))
+    return w_star, X, d
+
+
+def independent_states_msd(comb, nv, amplitude, params, lam, delta, spec,
+                           step=blas_step, mix=blas_combine):
+    """MSD curves from a loop that gives every algorithm its own P.
+
+    Draws the signals through run_ensemble's seed layout and reduces in
+    run order.  With the default step and combine, the package's
+    arithmetic, the curves must equal run_ensemble's bit for bit.
+    """
+    A = comb.A
+    K, L, N, R = A.shape[0], params.length, spec.iterations, spec.runs
+    w_star, X, d = ensemble_signals(comb, nv, amplitude, params, spec)
+    msd = {}
+    for algo in spec.algorithms:
+        P = np.broadcast_to(np.eye(L) / delta, (R, K, L, L)).copy()
+        w = np.zeros((R, K, L))
+        dev_sq = np.empty((R, N))
+        for n in range(N):
+            x, dn = X[n], d[n]
+            e = dn - np.einsum("...i,...i->...", x, w)
+            P, gain = step(P, x, lam)
+            psi = w + gain * e[..., None]
+            w = mix(A, psi) if algo == "drls" else psi
+            dev = w - w_star
+            dev_sq[:, n] = np.einsum("bki,bki->b", dev, dev)
+        total = np.zeros(N)
+        for r in range(R):
+            total += dev_sq[r]
+        msd[algo] = total / (R * K)
+    return msd
 
 
 def lfilter_ar1(innov: np.ndarray, rho: float, zi) -> tuple[np.ndarray, np.ndarray]:

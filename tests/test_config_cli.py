@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import importlib.util
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +63,10 @@ METADATA_SHA256 = {
     "small": "fb0fccd915adbd1582db86d027f42bbd38717f051f19d57f0cf5f0a1db4632a7",
     "wavy": "ea49d518d99d18aeaa5dd6ba2986bf8cbbdd9718ca74b97a47ca7304fe000c78",
 }
+
+
+# sha256 of the plot script written next to experiment_trajectory.csv
+PLOT_SHA256 = "258aeb853f5415d01b92c9eacdcb816ae1b29ca69b2b0af3a6a84557a536ce2a"
 
 
 def pinned_metadata(directory: Path) -> bytes:
@@ -168,6 +174,13 @@ class TestParsing:
         out.values["signal"]["period"] = cfg["signal"]["period"]
         out.values["ensemble"]["runs"] = cfg["ensemble"]["runs"]
         assert out.values == cfg.values
+
+    def test_with_overrides_strips_values(self):
+        # as in a file, a value loses its outer whitespace, so the echoed
+        # config text replays to the same value
+        cfg = with_overrides(resolve_config(SMALL), {"output.directory": "  out dir \t"})
+        assert cfg["output"]["directory"] == "out dir"
+        assert with_overrides(cfg, {})["output"]["directory"] == "out dir"  # via its text
 
     def test_with_overrides_rejects_bad_key(self):
         cfg = resolve_config(SMALL)
@@ -379,13 +392,42 @@ class TestMain:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
         assert (tmp_path / "out" / "experiment_trajectory.csv").exists()
 
-    def test_run_check_acceptance_strict_tolerance_fails(self, tmp_path):
+    def test_run_check_acceptance_fails_fixed_gate(self, tmp_path, capsys):
+        # criterion 1's gate is fixed at 1 dB steady, 2 dB transient; one
+        # run of 60 iterations is far from the theory
+        path = tmp_path / "c.ini"
+        write_ini(path, {**SMALL, "ensemble": {"runs": "1", "iterations": "60",
+                                               "master_seed": "5"}})
+        code = main(["run", str(path), "--out", str(tmp_path / "out"), "--check-acceptance"])
+        assert code == EXIT_ACCEPTANCE
+        assert capsys.readouterr().out == (
+            "theory/empirical deviation: steady 5.878 dB (tol 1.0), "
+            "transient 5.293 dB (tol 2.0) -> FAIL\n")
+
+    def test_run_check_acceptance_passes_fixed_gate(self, tmp_path, capsys):
         path = tmp_path / "c.ini"
         write_ini(path, SMALL)
-        code = main(["run", str(path), "--out", str(tmp_path / "out"),
-                     "--check-acceptance", "--steady-tol-db", "1e-9",
-                     "--transient-tol-db", "1e-9"])
-        assert code == EXIT_ACCEPTANCE
+        code = main(["run", str(path), "--out", str(tmp_path / "out"), "--check-acceptance"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            "theory/empirical deviation: steady 0.858 dB (tol 1.0), "
+            "transient 1.482 dB (tol 2.0) -> PASS\n")
+
+    def test_run_out_sets_output_directory(self, tmp_path):
+        # --out is an output.directory override: the metadata echoes it, and
+        # its config text replays to the same files without --out
+        path = tmp_path / "c.ini"
+        write_ini(path, SMALL)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        meta = json.loads((out / "experiment_metadata.json").read_text())
+        assert meta["resolved_config"]["output"]["directory"] == str(out)
+        csv_bytes = (out / "experiment_trajectory.csv").read_bytes()
+        replay = tmp_path / "replay.ini"
+        replay.write_text(meta["resolved_config_text"])
+        shutil.rmtree(out)
+        assert main(["run", str(replay)]) == EXIT_OK
+        assert (out / "experiment_trajectory.csv").read_bytes() == csv_bytes
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "{cfg}"],
@@ -399,7 +441,8 @@ class TestMain:
             "tol-inf", "tol-negative-checked"])
     def test_usage_error_is_validation_error(self, tmp_path, capsys, argv):
         # argparse's own exit code is 2, which this CLI reserves for numeric
-        # failure; a bad tolerance is refused before anything is simulated
+        # failure; the gate's tolerances are fixed, so a tolerance flag is an
+        # unknown option, refused before anything is simulated
         path = tmp_path / "c.ini"
         write_ini(path, SMALL)
         argv = [a.format(cfg=path) for a in argv] + ["--out", str(tmp_path / "out")]
@@ -408,12 +451,6 @@ class TestMain:
         assert exc.value.code == EXIT_VALIDATION
         assert "usage: drlsnet" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_zero_tolerance_is_accepted(self, tmp_path):
-        path = tmp_path / "c.ini"
-        write_ini(path, SMALL)
-        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--check-acceptance",
-                     "--steady-tol-db", "0", "--transient-tol-db", "0"]) == EXIT_ACCEPTANCE
 
     def test_sweep_labels_outputs(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -449,6 +486,15 @@ class TestMain:
                      "--values", "a,b", "--out", str(out)]) == EXIT_OK
         for name in ("a", "b"):
             assert (out / f"{name}_prefix={name}_trajectory.csv").exists()
+
+    def test_sweep_out_wins_over_swept_directory(self, tmp_path):
+        path = tmp_path / "c.ini"
+        write_ini(path, SMALL)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(path), "--param", "output.directory",
+                     "--values", "elsewhere", "--out", str(out)]) == EXIT_OK
+        meta = json.loads((out / "experiment_directory=elsewhere_metadata.json").read_text())
+        assert meta["resolved_config"]["output"]["directory"] == str(out)
 
     def test_sweep_over_nested_directory_is_validation_error(self, tmp_path, capsys):
         # the label puts the value in the prefix, so a value with a path
@@ -520,13 +566,18 @@ class TestMain:
         assert (out / "experiment_period=4_trajectory.csv").exists()
 
 
-def test_reproduce_full_scale_script_explicit_edges(tmp_path, capsys):
-    path = tmp_path / "c.ini"
-    write_ini(path, EXPLICIT)
+def load_reproduce_script():
     spec = importlib.util.spec_from_file_location(
         "reproduce_full_scale", ROOT / "scripts" / "reproduce_full_scale.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_reproduce_full_scale_script_explicit_edges(tmp_path, capsys):
+    path = tmp_path / "c.ini"
+    write_ini(path, EXPLICIT)
+    script = load_reproduce_script()
     out = tmp_path / "out"
     assert script.main(["--config", str(path), "--out", str(out),
                         "--runs", "1", "--periods", "4,8"]) == 0
@@ -535,6 +586,49 @@ def test_reproduce_full_scale_script_explicit_edges(tmp_path, capsys):
         meta = json.loads((out / f"experiment_T={T}_metadata.json").read_text())
         assert meta["resolved_config"]["output"]["prefix"] == f"experiment_T={T}"
     assert "== period T=8 ==" in capsys.readouterr().out
+
+
+def test_reproduce_full_scale_script_drls_only(tmp_path, capsys):
+    # the summary covers the curves the CSV carries: no RLS level, no gain
+    path = tmp_path / "c.ini"
+    write_ini(path, {**EXPLICIT, "algorithm": {"algorithms": "drls"}})
+    assert load_reproduce_script().main(["--config", str(path), "--out", str(tmp_path / "out"),
+                                         "--periods", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"  steady-state MSD: drls [+-]\d+\.\d\d dB", lines[1])
+    assert lines[2].startswith("  periodicity score at 1/4: ")
+
+
+@pytest.mark.parametrize("prefix", ['a"b', "a\\b", "a'b", 'x"""y', "ü", "experiment"])
+def test_plot_script_names_its_csv(tmp_path, prefix):
+    # the CSV name enters the script as a string literal, whatever the prefix
+    cfg = resolve_config({**SMALL, "ensemble": {"runs": "1", "iterations": "5"},
+                          "output": {"prefix": prefix}})
+    assert run_experiment(cfg, out_dir=tmp_path) == EXIT_OK
+    csv_name = f"{prefix}_trajectory.csv"
+    assert (tmp_path / csv_name).is_file()
+    source = (tmp_path / f"{prefix}_plot.py").read_bytes()
+    tree = ast.parse(source)
+    assert ast.get_docstring(tree) == f"Plot the MSD trajectories from {csv_name} (generated file)."
+    [call] = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "with_name"]
+    assert ast.literal_eval(call.args[0]) == csv_name
+    if prefix == "experiment":
+        assert hashlib.sha256(source).hexdigest() == PLOT_SHA256
+
+
+def test_readme_names_every_cli_flag(capsys):
+    # README documents every option the parsers take, and no other
+    flags = set()
+    for command in ("run", "sweep", "check"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        flags |= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    assert sorted(flag for flag in flags if flag not in readme) == []
+    assert sorted(set(re.findall(r"--[a-z][a-z-]*", cli_section)) - flags) == []
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.name)

@@ -4,15 +4,20 @@ Each case draws one config from a fixed SeedSequence branch (K 2-6, L 1-6,
 T 1-40, N 5-60; ring, explicit and geometric graphs; uniform, metropolis
 and explicit combination rows; all three profiles, shared or per-node
 phases; rho = 0 among the draws), and about one draw in six breaks one
-rule.  Each case checks the equalities the package promises for any
-config:
+rule.  A second branch draws path graphs with fewer iterations than taps
+(L 3-12, N < L).  Each case checks the equalities the package promises for
+any config:
 
 - `check` and `run` give the same exit code, 0 or 1;
 - the Monte Carlo outputs are bit-identical with one run per chunk, all
   runs in one chunk, and signal blocks of a few iterations;
+- the MSD curves are bit-identical to a loop that gives each algorithm
+  its own P;
 - the theory MSD is within 1e-12 relative of the dense oracle;
 - the theory, which solves each distinct sigma_x row once, is bit-identical
   to the per-node oracle;
+- every diagonal block K_n[k, k] of the theory's second moment is PSD to
+  PSD_TOL relative to its largest eigenvalue, at every n;
 - with identity combination rows, the DRLS curve equals the RLS curve.
 """
 
@@ -20,24 +25,28 @@ import numpy as np
 import pytest
 
 import drlsnet.harness
+import drlsnet.theory
 from drlsnet.cli import EXIT_OK, EXIT_VALIDATION, main
 from drlsnet.config import parse_config, with_overrides
 from drlsnet.harness import run_ensemble
-from oracles import Profile, dense_theory, per_node_theory
+from drlsnet.theory import PSD_TOL
+from oracles import Profile, dense_theory, independent_states_msd, per_node_theory
 
 SWEEP_SEED = 2008
 CASES = 30
+# drawn from the root's next child: path graphs with N < L
+LINE_CASES = 6
 
 
 def _floats(values) -> str:
     return ", ".join(repr(float(v)) for v in values)
 
 
-def _edges(rng, K) -> list[tuple[int, int]]:
-    """A random spanning path plus a few random chords."""
+def _edges(rng, K, chords=True) -> list[tuple[int, int]]:
+    """A random spanning path, plus a few random chords if `chords`."""
     order = rng.permutation(K)
     edges = {tuple(sorted((int(a), int(b)))) for a, b in zip(order, order[1:])}
-    for _ in range(int(rng.integers(0, K))):
+    for _ in range(int(rng.integers(0, K)) if chords else 0):
         a, b = rng.choice(K, 2, replace=False)
         edges.add(tuple(sorted((int(a), int(b)))))
     return sorted(edges)
@@ -51,20 +60,24 @@ def _adjacency(K, edges) -> np.ndarray:
 
 
 def draw_config(case: int) -> dict[str, dict[str, str]]:
-    """Raw config (section -> key -> text) for one sweep case."""
-    rng = np.random.default_rng(np.random.SeedSequence(SWEEP_SEED).spawn(CASES)[case])
-    K, L = int(rng.integers(2, 7)), int(rng.integers(1, 7))
-    T, N = int(rng.integers(1, 41)), int(rng.integers(5, 61))
+    """Raw config (section -> key -> text) for one sweep case; cases from
+    CASES on are path graphs with N < L."""
+    branches = np.random.SeedSequence(SWEEP_SEED).spawn(CASES + 1)
+    line = case >= CASES
+    rng = np.random.default_rng(branches[CASES].spawn(LINE_CASES)[case - CASES]
+                                if line else branches[case])
+    K, L = int(rng.integers(2, 7)), int(rng.integers(3, 13) if line else rng.integers(1, 7))
+    T, N = int(rng.integers(1, 41)), int(rng.integers(1, L) if line else rng.integers(5, 61))
 
     net = {"nodes": str(K)}
-    topology = str(rng.choice(["ring", "explicit", "random_geometric"]))
+    topology = "explicit" if line else str(rng.choice(["ring", "explicit", "random_geometric"]))
     net["topology"] = topology
     adj = None
     if topology == "ring":
         k = np.arange(K)
         adj = _adjacency(K, zip(k, (k + 1) % K))
     elif topology == "explicit":
-        edges = _edges(rng, K)
+        edges = _edges(rng, K, chords=not line)
         net["edges"] = ", ".join(f"{a}-{b}" for a, b in edges)
         adj = _adjacency(K, edges)
     else:
@@ -160,7 +173,24 @@ def assert_same_outputs(got, want) -> None:
         assert np.array_equal(got.mean_err_norm_empirical, want.mean_err_norm_empirical)
 
 
-@pytest.mark.parametrize("case", range(CASES))
+def spy_on_k_matrix_step(monkeypatch) -> list:
+    """Wrap theory.k_matrix_step to check each K_n's diagonal blocks as
+    they are computed; returns the smallest eigenvalue of each K_n so far."""
+    step, smallest = drlsnet.theory.k_matrix_step, []
+
+    def checked_step(*args):
+        Kmat = step(*args)
+        k = np.arange(len(Kmat))
+        eig = np.linalg.eigvalsh(Kmat[k, k])  # ascending, per block
+        assert (eig[:, 0] >= -PSD_TOL * np.maximum(1.0, eig[:, -1])).all(), len(smallest) + 1
+        smallest.append(eig[:, 0].min())
+        return Kmat
+
+    monkeypatch.setattr(drlsnet.theory, "k_matrix_step", checked_step)
+    return smallest
+
+
+@pytest.mark.parametrize("case", range(CASES + LINE_CASES))
 def test_drawn_config(tmp_path, monkeypatch, capsys, case):
     raw = draw_config(case)
     path = tmp_path / "c.ini"
@@ -177,7 +207,9 @@ def test_drawn_config(tmp_path, monkeypatch, capsys, case):
     K, L = cfg["network"]["nodes"], cfg["signal"]["taps"]
     R, N = cfg["ensemble"]["runs"], cfg["ensemble"]["iterations"]
     monkeypatch.setattr(drlsnet.harness, "_default_chunk", lambda K, N, L: R)
+    k_steps = spy_on_k_matrix_step(monkeypatch)
     whole = simulate(cfg, theory=True)
+    assert len(k_steps) == N
     monkeypatch.setattr(drlsnet.harness, "_default_chunk", lambda K, N, L: 1)
     assert_same_outputs(simulate(cfg, theory=False), whole)
     monkeypatch.setattr(drlsnet.harness, "_default_chunk", lambda K, N, L: R)
@@ -185,14 +217,21 @@ def test_drawn_config(tmp_path, monkeypatch, capsys, case):
     monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", block * R * K * L)
     assert_same_outputs(simulate(cfg, theory=False), whole)
 
+    lam, delta = cfg["algorithm"]["forgetting_factor"], cfg["algorithm"]["delta"]
+    assert not any(whole.excluded_runs.values())
+    separate = independent_states_msd(cfg.build_combiner(), cfg.noise_variances(),
+                                      cfg.build_profiles(), cfg.process_params(), lam, delta,
+                                      cfg.ensemble_spec())
+    assert separate.keys() == whole.msd_empirical.keys()
+    for algo, curve in separate.items():
+        assert np.array_equal(whole.msd_empirical[algo], curve)
+
     want = dense_theory(node_profiles(cfg), cfg["signal"]["rho"], cfg.build_combiner().A,
-                        cfg.noise_variances(), whole.w_star,
-                        cfg["algorithm"]["forgetting_factor"], cfg["algorithm"]["delta"], N)
+                        cfg.noise_variances(), whole.w_star, lam, delta, N)
     assert (np.abs(whole.msd_theory - want) <= 1e-12 * want).all()
     msd, err_norm = per_node_theory(
         cfg.build_profiles(), cfg.process_params(), cfg.build_combiner().A,
-        cfg.noise_variances(), whole.w_star, cfg["algorithm"]["forgetting_factor"],
-        cfg["algorithm"]["delta"], N)
+        cfg.noise_variances(), whole.w_star, lam, delta, N)
     assert np.array_equal(whole.msd_theory, msd)
     assert np.array_equal(whole.mean_err_norm_theory, err_norm)
 
