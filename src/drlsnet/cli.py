@@ -188,16 +188,17 @@ def main(argv=None) -> int:
             return run_experiment(cfg, check_acceptance=args.check_acceptance)
         if args.command == "sweep":
             base = parse_config(args.config)
-            status = EXIT_OK
+            # resolve every value before running any, so a bad one writes nothing
+            cfgs = []
             for value in args.values.split(","):
                 value = value.strip()
                 source = f"{args.config} [{args.param}={value}]"
                 cfg = with_overrides(base, {args.param: value}, source=source)
                 # read after the swept value, which may be the prefix itself
                 prefix = f"{cfg['output']['prefix']}_{args.param.split('.')[-1]}={value}"
-                cfg = with_overrides(cfg, {"output.prefix": prefix, **out}, source=source)
-                status = max(status, run_experiment(cfg))
-            return status
+                cfgs.append(with_overrides(cfg, {"output.prefix": prefix, **out},
+                                           source=source))
+            return max(run_experiment(cfg) for cfg in cfgs)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -58,7 +58,10 @@ def _parse_edges(s: str) -> list[tuple[int, int]]:
 
 
 def _parse_matrix(s: str) -> list[list[float]]:
-    return [[_finite(v) for v in row.split(",")] for row in s.split(";") if row.strip()]
+    rows = [[_finite(v) for v in row.split(",")] for row in s.split(";") if row.strip()]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows differ in length")
+    return rows
 
 
 # section -> key -> (parser, default-as-string or None for "unset")
@@ -122,15 +125,15 @@ class ExperimentConfig:
 
     def build_combiner(self) -> CombinationMatrix:
         net = self.values["network"]
-        topo = build_topology(net["topology"], net["nodes"], radius=net["radius"],
-                              seed=net["topology_seed"], edges=net["edges"])
+        adjacency = build_topology(net["topology"], net["nodes"], radius=net["radius"],
+                                   seed=net["topology_seed"], edges=net["edges"])
         if net["combination_rows"] is not None:
             A = np.asarray(net["combination_rows"], dtype=float)
             if A.shape != (net["nodes"], net["nodes"]):
                 raise ConfigError("network.combination_rows: wrong shape "
                                   f"{A.shape}, expected ({net['nodes']}, {net['nodes']})")
-            return CombinationMatrix(A, adjacency=topo.adjacency)
-        return build_combination_matrix(topo, net["combination"])
+            return CombinationMatrix(A, adjacency=adjacency)
+        return build_combination_matrix(adjacency, net["combination"])
 
     def noise_variances(self) -> np.ndarray:
         net = self.values["network"]

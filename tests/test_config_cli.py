@@ -337,6 +337,15 @@ class TestMain:
          "signal: need level > 0 and 0 <= mod_depth < 1"),
         # files are written as <directory>/<prefix>_*, so a prefix names no directory
         ("output", {"prefix": "sub/run"}, "output.prefix: must be a file name, not a path"),
+        # appended last, so the cases above keep their ids: a negative
+        # weight whose columns sum to 1 with support within the ring, and
+        # two inputs that numpy rejected with its own message
+        ("network", {"combination_rows": "1.2, 0.25, 0.0, 0.25; -0.1, 0.5, 0.25, 0.0; "
+                                         "0.0, 0.25, 0.5, 0.25; -0.1, 0.0, 0.25, 0.5"},
+         "network: combination weights must be nonnegative"),
+        ("network", {"nodes": "-1"}, "network: need at least 2 nodes"),
+        ("network", {"combination_rows": "1, 0; 0"},
+         "network.combination_rows: cannot parse '1, 0; 0' (rows differ in length)"),
     ])
     def test_check_rejects_what_run_rejects(self, tmp_path, capsys, section,
                                             values, message):
@@ -506,6 +515,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert "output.prefix: must be a file name" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_sweep_checks_every_value_before_running(self, tmp_path, capsys):
+        # a bad later value stops the sweep before the earlier ones run
+        path = tmp_path / "c.ini"
+        write_ini(path, SMALL)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(path), "--param", "ensemble.runs",
+                     "--values", "2,0,3", "--out", str(out)]) == EXIT_VALIDATION
+        assert "ensemble: runs and iterations must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_bad_param(self, tmp_path):
         path = tmp_path / "c.ini"
