@@ -19,6 +19,7 @@ trade Monte Carlo noise for speed.
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -79,7 +80,9 @@ def main(argv=None) -> int:
             score = detect_periodicity(drls_db, T)
             print(f"  periodicity score at 1/{T}: {score:.3f} "
                   f"({'fluctuates' if score > 0.5 else 'no visible ripple'})")
-        print(f"  outputs under {directory}/, {elapsed:.0f} s\n")
+        # ru_maxrss is the process's high-water mark so far, in KiB on Linux
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"  outputs under {directory}/, {elapsed:.0f} s, peak memory {peak_mb:.0f} MB\n")
     print("Reminder: qualitative comparison only; absolute levels depend on "
           "unpublished topology and noise choices.")
     return 0

@@ -77,8 +77,9 @@ def _default_chunk(K: int, N: int, L: int) -> int:
     return max(1, int(1.5e7 / (K * N * L)))
 
 
-# regressor elements per signal block (8 MB): a chunk's signals are
-# generated this many elements at a time, into one reused buffer
+# bound on one signal block's generator output, in regressor elements
+# (8 MB): a chunk's signals are generated this many at a time, and only
+# the block's input samples are kept
 _SIGNAL_BLOCK = 1_000_000
 # the experiment fails when more than this share of runs is excluded
 _MAX_EXCLUDED_FRACTION = 0.01
@@ -103,9 +104,13 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
 
     Runs are simulated `_default_chunk(K, N, L)` at a time, looked up at
     each call, and each chunk's signals are generated in time blocks of
-    about `_SIGNAL_BLOCK` regressor elements into one reused buffer, each
-    node-run carrying its generators and filter state across blocks.
-    Neither size changes any result.
+    nb iterations, nb*B*K*L at most `_SIGNAL_BLOCK` regressor elements,
+    each node-run carrying its generators and filter state across blocks.
+    A block is held as its (nb+L-1)*B*K scaled input samples, the last
+    L-1 of the block before first, not as nb*B*K*L regressor entries:
+    each step copies the regressors x_{k,n}, a tapped delay line over
+    those samples, out of the window that ends at n.  Neither size
+    changes any result.
     """
     A = combiner.A
     K = A.shape[0]
@@ -133,24 +138,36 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         # so the chunk's signals and work buffer are freed before the theory
         B = len(run_ids)
         nb = min(N, max(1, _SIGNAL_BLOCK // (B * K * L)))
-        X = np.empty((nb, B, K, L))  # time-major, so X[j] is contiguous
+        # scaled input samples, time-major: row L-1+j is the block's j-th
+        # iteration and rows 0..L-2 the L-1 samples before it
+        U = np.empty((nb + L - 1, B, K))
         d = np.empty((nb, B, K))
-        # each node-run keeps its node, its columns of the block, its two
+        x = np.empty((B, K, L))  # the step's regressors, newest tap first
+        # each node-run keeps its node, its column of the block, its two
         # generators and the carry its next block continues from (None
         # before its first block)
         streams = []
         for b, r in enumerate(run_ids):
             for k, node in enumerate(children[1 + r].spawn(K)):
                 ss_u, ss_z = node.spawn(2)
-                streams.append([k, X[:, b, k], d[:, b, k], np.random.default_rng(ss_u),
+                streams.append([k, U[:, b, k], d[:, b, k], np.random.default_rng(ss_u),
                                 np.random.default_rng(ss_z), None])
 
         def next_block(n0: int) -> None:
             size = min(nb, N - n0)
+            # the last L-1 samples of the previous, full block move to the
+            # top (numpy copies overlapping rows right when nb < L-1); on
+            # a first block the warm-up samples overwrite them
+            U[:L - 1] = U[nb:]
             for s in streams:
-                k, x_k, d_k, rng_u, rng_z, carry = s
-                x_k[:size], d_k[:size], s[5] = generate_node_signals(
+                k, u_k, d_k, rng_u, rng_z, carry = s
+                X_blk, d_k[:size], s[5] = generate_node_signals(
                     amplitude[k], params, w_star, sigma_z[k], size, rng_u, rng_z, carry)
+                # each row's newest sample; on a node-run's first block
+                # also the warm-up samples of its first row, oldest first
+                u_k[L - 1:L - 1 + size] = X_blk[:, 0]
+                if carry is None:
+                    u_k[:L - 1] = X_blk[0, :0:-1]
 
         # P_{k,n} depends only on node k's regressors, lam and delta, so
         # the selected algorithms share one recursion and its gain
@@ -173,7 +190,8 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
             j = n % nb
             if j == 0:
                 next_block(n)
-            gain = update_inverse_correlation(P, X[j], lam, work)
+            x[...] = U[j:j + L][::-1].transpose(1, 2, 0)
+            gain = update_inverse_correlation(P, x, lam, work)
             # work holds u u^T; NaN and +-inf fail every comparison, so a
             # non-finite bound or P trips at the iteration it appears
             bound = bound / lam + work.diagonal(0, -2, -1).max(axis=(-2, -1))
@@ -181,7 +199,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                 bound = np.maximum(P.max(axis=(-3, -2, -1)), -P.min(axis=(-3, -2, -1)))
                 bad_at[~(bound <= guard) & (bad_at < 0)] = n + 1
             for a in algos:
-                w = iterate[a](states[a], X[j], d[j], gain)
+                w = iterate[a](states[a], x, d[j], gain)
                 dev = w - w_star
                 dev_sq[a][:, n] = np.einsum("bki,bki->b", dev, dev)
                 if keep_err and a == "drls":

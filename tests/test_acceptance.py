@@ -5,12 +5,16 @@ lambda=0.995, rho=0.8, pulsed amplitude profile) and checks the headline
 claims at their pinned tolerances.  Expensive trajectories are shared
 between criteria through module-scoped fixtures; the whole file finishes
 in a couple of minutes.  Criterion 7 (full-scale reproduction) is
-non-gating and lives in scripts/reproduce_full_scale.py.
+measured on the full-scale config's first 600 iterations and printed,
+not gated; scripts/reproduce_full_scale.py runs it in full.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from drlsnet.config import parse_config, with_overrides
 from drlsnet.filters import (DrlsNetworkState, drls_iteration, init_state, rls_iteration,
                              update_inverse_correlation)
 from drlsnet.harness import (EnsembleSpec, compare_theory_empirical,
@@ -25,6 +29,7 @@ from oracles import Profile, amplitude_table, input_covariance, noise_term, sigm
 
 K, L, LAM, DELTA, RHO = 10, 8, 0.995, 0.01, 0.8
 MASTER_SEED = 42
+ROOT = Path(__file__).resolve().parent.parent
 
 
 VERDICTS: list[str] = []  # echoed by conftest in the terminal summary
@@ -271,8 +276,22 @@ class TestCriterion6StatisticalGenerators:
 
 
 def test_criterion7_is_documented_not_gated():
-    line = ("ACCEPTANCE 7 [full-scale reproduction]: NOT GATED "
-            "(run scripts/reproduce_full_scale.py; exact dB levels depend on "
-            "unpublished topology/noise choices, see README)")
+    # the full-scale config (K=20, L=32, T=512) at 24 runs: its first 600
+    # iterations, the rows a 6000-iteration run starts with, cover the
+    # transient window; the gaps are printed, not gated
+    cfg = with_overrides(parse_config(ROOT / "configs" / "reproduction_T512.ini"),
+                         {"ensemble.runs": "24", "ensemble.iterations": "600"})
+    traj = run_ensemble(cfg.build_combiner(), cfg.noise_variances(), cfg.build_profiles(),
+                        cfg.process_params(), cfg.values["algorithm"]["forgetting_factor"],
+                        cfg.values["algorithm"]["delta"], cfg.ensemble_spec(),
+                        guard=cfg.values["algorithm"]["guard"])
+    gap = to_db(traj.msd_empirical["drls"]) - to_db(traj.msd_theory)
+    windows = ", ".join(f"{gap[lo - 1:hi].mean():+.1f} on [{lo},{hi}]" for lo, hi in
+                        ((1, 10), (10, 50), (50, 100), (100, 200), (200, 500)))
+    transient = compare_theory_empirical(traj)["transient_mean_abs_db"]
+    line = ("ACCEPTANCE 7 [full-scale reproduction]: MEASURED, NOT GATED "
+            f"(24 runs x 600 iterations: empirical - theory {windows} dB; "
+            f"transient mean |gap| {transient:.2f} dB over [50,500]; "
+            "run scripts/reproduce_full_scale.py for the full curves, see README)")
     VERDICTS.append(line)
     print("\n" + line)

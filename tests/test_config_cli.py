@@ -604,7 +604,11 @@ def test_reproduce_full_scale_script_explicit_edges(tmp_path, capsys):
         assert (out / f"experiment_T={T}_trajectory.csv").exists()
         meta = json.loads((out / f"experiment_T={T}_metadata.json").read_text())
         assert meta["resolved_config"]["output"]["prefix"] == f"experiment_T={T}"
-    assert "== period T=8 ==" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "== period T=8 ==" in printed
+    # each period's line carries its elapsed time and the peak memory so far
+    assert len(re.findall(r"^  outputs under .+/, \d+ s, peak memory \d+ MB$",
+                          printed, re.MULTILINE)) == 2
 
 
 def test_reproduce_full_scale_script_drls_only(tmp_path, capsys):

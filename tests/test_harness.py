@@ -70,15 +70,19 @@ def load_spans():
 
 
 def inject_bad_regressor(monkeypatch, R, K, L, bad_value, bad_iteration,
-                         block_iterations=None) -> list:
-    """Replace the regressor of run 1, node 0 at `bad_iteration` by
-    `bad_value` where the harness receives it: in the result of its
+                         block_iterations=None, runs=(1,)) -> list:
+    """Replace the regressor of node 0 at `bad_iteration` by `bad_value`,
+    in each of `runs`, where the harness receives it: in the result of its
     per-block generate_node_signals call, with all R runs in one chunk and
-    signal blocks of `block_iterations` (default: one block).  Returns the
-    list that gets one entry per call."""
+    signal blocks of `block_iterations` (default: one block).  The harness
+    keeps only each row's newest sample (and, on a first block, row 0's
+    warm-up samples), so the corrupted row reaches the filters through its
+    newest sample: in the regressor at `bad_iteration` first, then in the
+    L-1 after it.  Returns the list that gets one entry per call."""
     if block_iterations is not None:
         monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", block_iterations * R * K * L)
     generate = drlsnet.harness.generate_node_signals
+    bad_node_runs = {r * K + 0 for r in runs}
     calls = []
 
     def corrupted(*args):
@@ -86,7 +90,7 @@ def inject_bad_regressor(monkeypatch, R, K, L, bad_value, bad_iteration,
         X, d, carry = generate(*args)
         block, node_run = divmod(len(calls), R * K)
         first = 1 + block * (block_iterations or 0)  # iteration of X[0]
-        if node_run == 1 * K + 0 and first <= bad_iteration < first + len(X):
+        if node_run in bad_node_runs and first <= bad_iteration < first + len(X):
             X[bad_iteration - first] = bad_value
         calls.append(None)
         return X, d, carry
@@ -111,6 +115,38 @@ def run_with_bad_regressor(monkeypatch, bad_value, bad_iteration, block_iteratio
     blocks = 1 if block_iterations is None else -(-20 // block_iterations)
     assert len(calls) == R * K * blocks
     return traj
+
+
+def assert_blocks_match_one_block(monkeypatch, L, N, block_iterations, excluded):
+    """8 runs of the faint 3-node case, 3 per chunk, in signal blocks of
+    `block_iterations`: curves, exclusions (with the iteration of their
+    first trip; `excluded` runs are lost), mean error and snapshots match
+    one whole-run block exactly."""
+    comb, nv = desk_network(3)
+    params = ColoredProcessParams(rho=0.8, length=L)
+    spec = EnsembleSpec(runs=8, iterations=N, master_seed=21)
+
+    def run():
+        return run_ensemble(comb, nv, FAINT,
+                            params, 0.995, 0.01, spec, guard=440.0,
+                            include_theory=False, collect_mean_error=True,
+                            snapshot_every=50)
+
+    monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
+    chunk_runs(monkeypatch, 3)
+    monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", 10 ** 9)
+    want = run()
+    # 3 runs x 3 nodes x L taps per iteration in each chunk
+    monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", block_iterations * 9 * L)
+    got = run()
+    assert got.excluded_runs == want.excluded_runs
+    assert len(want.excluded_runs["drls"]) == excluded
+    for algo in ("rls", "drls"):
+        assert np.array_equal(got.msd_empirical[algo], want.msd_empirical[algo])
+        assert got.snapshots[algo]["iteration"] == want.snapshots[algo]["iteration"]
+        assert np.array_equal(got.snapshots[algo]["weights"],
+                              want.snapshots[algo]["weights"])
+    assert np.array_equal(got.mean_err_norm_empirical, want.mean_err_norm_empirical)
 
 
 class TestRunEnsemble:
@@ -157,33 +193,7 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("block_iterations", [1, 7, 400])
     def test_signal_block_length_does_not_change_results(self, monkeypatch,
                                                           block_iterations):
-        # curves, exclusions (with the iteration of their first trip),
-        # mean error and snapshots match one whole-run block exactly
-        comb, nv = desk_network(3)
-        params = ColoredProcessParams(rho=0.8, length=2)
-        spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
-
-        def run():
-            return run_ensemble(comb, nv, FAINT,
-                                params, 0.995, 0.01, spec, guard=440.0,
-                                include_theory=False, collect_mean_error=True,
-                                snapshot_every=50)
-
-        monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
-        chunk_runs(monkeypatch, 3)
-        monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", 10 ** 9)
-        want = run()
-        # 3 runs x 3 nodes x 2 taps per iteration in each chunk
-        monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", block_iterations * 18)
-        got = run()
-        assert got.excluded_runs == want.excluded_runs
-        assert len(want.excluded_runs["drls"]) == 5
-        for algo in ("rls", "drls"):
-            assert np.array_equal(got.msd_empirical[algo], want.msd_empirical[algo])
-            assert got.snapshots[algo]["iteration"] == want.snapshots[algo]["iteration"]
-            assert np.array_equal(got.snapshots[algo]["weights"],
-                                  want.snapshots[algo]["weights"])
-        assert np.array_equal(got.mean_err_norm_empirical, want.mean_err_norm_empirical)
+        assert_blocks_match_one_block(monkeypatch, 2, 400, block_iterations, excluded=5)
 
     def test_signals_held_one_block_at_a_time(self, monkeypatch):
         # a chunk must not hold its whole run's (N, B, K, L) signals: the
@@ -202,6 +212,40 @@ class TestRunEnsemble:
         finally:
             tracemalloc.stop()
         assert peak < whole_run / 4
+
+    @pytest.mark.parametrize("L, block_iterations", [
+        (L, blk) for L in (8, 32) for blk in (1, 3, L - 1, L)],
+        ids=lambda v: str(v))
+    def test_signal_blocks_shorter_than_the_tail(self, monkeypatch, L, block_iterations):
+        # blocks of fewer than L-1 iterations carry samples from several
+        # blocks back into one regressor
+        assert_blocks_match_one_block(monkeypatch, L, 358, block_iterations,
+                                      excluded={8: 2, 32: 6}[L])
+
+    def test_signal_block_holds_samples_not_windows(self):
+        # one block (nb = 976 >= N at the default _SIGNAL_BLOCK) is held
+        # as its (N+L-1, R, K) input samples, not as the (N, R, K, L)
+        # regressor windows (7.8 MB here): the traced peak stays well below.
+        # It includes two node-runs' (N, L) generator outputs, the one being
+        # made and the one before it, 1/(2RK) of the block each
+        K, L, R, N = 8, 32, 4, 950
+        windows = N * R * K * L * 8
+        comb = identity_combiner(K)
+
+        def run(iterations):
+            run_ensemble(comb, np.full(K, 0.01), amplitude_table(CONST, nodes=K),
+                         ColoredProcessParams(rho=0.8, length=L), 0.995, 0.01,
+                         EnsembleSpec(runs=R, iterations=iterations, master_seed=3),
+                         include_theory=False)
+
+        run(1)  # a first call's lazy imports are not the block's memory
+        tracemalloc.start()
+        try:
+            run(N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < windows / 4
 
     def test_mean_error_is_drls_only(self, monkeypatch):
         # the empirical mean error is DRLS's whatever else runs beside it,
@@ -268,6 +312,27 @@ class TestRunEnsemble:
             run_ensemble(comb, nv, FAINT,
                          ColoredProcessParams(rho=0.8, length=2), 0.995, 0.01,
                          spec, guard=440.0, include_theory=False)
+
+    def test_one_percent_excluded_is_allowed(self, monkeypatch):
+        # the limit is "more than 1%": at R = 100, one run lost to a NaN
+        # regressor passes and two fail the experiment
+        K, R, L = 3, 100, 2
+        comb, nv = desk_network(K)
+        spec = EnsembleSpec(runs=R, iterations=20, master_seed=5)
+
+        def run(bad_runs):
+            monkeypatch.undo()  # the previous injection
+            inject_bad_regressor(monkeypatch, R, K, L, np.nan, 5, runs=bad_runs)
+            with np.errstate(invalid="ignore"):
+                return run_ensemble(comb, nv, amplitude_table(CONST, nodes=K),
+                                    ColoredProcessParams(rho=0.5, length=L),
+                                    0.995, 0.01, spec, include_theory=False)
+
+        traj = run({1})
+        assert traj.excluded_runs == {"rls": [(1, 5)], "drls": [(1, 5)]}
+        with pytest.raises(ExcludedRunThresholdError,
+                           match=r"2 of 100 runs excluded \(allowed: at most 1%"):
+            run({1, 2})
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_trips_guard(self, monkeypatch, bad_value):
@@ -450,6 +515,13 @@ class TestDetectPeriodicity:
 
     def test_constant_curve(self):
         assert detect_periodicity(np.ones(4096), 512) == 0.0
+
+    def test_rounding_noise_far_from_unit_scale_scores_zero(self):
+        # a flat curve at 1e6 with a few ulps of noise: its detrended energy
+        # (~4e-15) is over an unscaled floor (~1e-18) but under the floor
+        # scaled by the curve's mean square (~1e-6), so it is not periodic
+        z = np.random.default_rng(0).standard_normal(6 * 32)
+        assert detect_periodicity(1e6 * (1 + 1e-15 * z), 32) == 0.0
 
     def test_white_noise_scores_low(self):
         rng = np.random.default_rng(0)
