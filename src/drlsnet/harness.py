@@ -77,9 +77,9 @@ def _default_chunk(K: int, N: int, L: int) -> int:
     return max(1, int(1.5e7 / (K * N * L)))
 
 
-# bound on one signal block's generator output, in regressor elements
-# (8 MB): a chunk's signals are generated this many at a time, and only
-# the block's input samples are kept
+# sets a chunk's signal block length nb: at most this many regressor
+# elements nb*B*K*L, counted as windows though none are allocated; what a
+# chunk holds is the block's (nb+L-1, B, K) input samples and (nb, B, K) d
 _SIGNAL_BLOCK = 1_000_000
 # the experiment fails when more than this share of runs is excluded
 _MAX_EXCLUDED_FRACTION = 0.01
@@ -106,11 +106,11 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     each call, and each chunk's signals are generated in time blocks of
     nb iterations, nb*B*K*L at most `_SIGNAL_BLOCK` regressor elements,
     each node-run carrying its generators and filter state across blocks.
-    A block is held as its (nb+L-1)*B*K scaled input samples, the last
-    L-1 of the block before first, not as nb*B*K*L regressor entries:
-    each step copies the regressors x_{k,n}, a tapped delay line over
-    those samples, out of the window that ends at n.  Neither size
-    changes any result.
+    A block is held as its (nb+L-1)*B*K scaled input samples, all taken
+    from the generator's window view: the L-1 older taps of its first
+    window, then the newest tap of each.  Each step copies the regressors
+    x_{k,n}, a tapped delay line over those samples, out of the window
+    that ends at n.  Neither size changes any result.
     """
     A = combiner.A
     K = A.shape[0]
@@ -144,8 +144,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         d = np.empty((nb, B, K))
         x = np.empty((B, K, L))  # the step's regressors, newest tap first
         # each node-run keeps its node, its column of the block, its two
-        # generators and the carry its next block continues from (None
-        # before its first block)
+        # generators and the generator's carry (None before its first block)
         streams = []
         for b, r in enumerate(run_ids):
             for k, node in enumerate(children[1 + r].spawn(K)):
@@ -155,19 +154,13 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
 
         def next_block(n0: int) -> None:
             size = min(nb, N - n0)
-            # the last L-1 samples of the previous, full block move to the
-            # top (numpy copies overlapping rows right when nb < L-1); on
-            # a first block the warm-up samples overwrite them
-            U[:L - 1] = U[nb:]
             for s in streams:
                 k, u_k, d_k, rng_u, rng_z, carry = s
                 X_blk, d_k[:size], s[5] = generate_node_signals(
                     amplitude[k], params, w_star, sigma_z[k], size, rng_u, rng_z, carry)
-                # each row's newest sample; on a node-run's first block
-                # also the warm-up samples of its first row, oldest first
+                # row 0's older taps, oldest first, then each row's newest
+                u_k[:L - 1] = X_blk[0, :0:-1]
                 u_k[L - 1:L - 1 + size] = X_blk[:, 0]
-                if carry is None:
-                    u_k[:L - 1] = X_blk[0, :0:-1]
 
         # P_{k,n} depends only on node k's regressors, lam and delta, so
         # the selected algorithms share one recursion and its gain

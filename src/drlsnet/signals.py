@@ -120,7 +120,11 @@ def generate_node_signals(amplitude: np.ndarray,
     `amplitude` is the node's sigma_x(n) for n = 0..T-1, one period.
     Returns (X, d, carry): X[j] is the regressor at the block's j-th
     iteration, shape (n_iters, L), d = X w_star + sigma_z * z, shape
-    (n_iters,), and carry what the next block continues from.  With
+    (n_iters,), and carry what the next block continues from.  X is a
+    read-only sliding-window view over the block's n_iters+L-1 scaled
+    samples, so consecutive rows share L-1 entries: X[0, :0:-1] is the
+    L-1 samples before the block, oldest first, and X[:, 0] the block's
+    own samples.  Callers copy X before writing to it.  With
     `carry=None` the block starts at iteration 1: the AR recursion runs
     from one stationary N(0, 1) draw, and warm-up covers times 2-L .. 0
     so X[0] is fully formed.  Feeding each block's carry, with the same
@@ -138,11 +142,8 @@ def generate_node_signals(amplitude: np.ndarray,
     times = np.arange(start, start + u.size)
     scaled = np.concatenate((tail, amplitude[times % amplitude.size] * u))
     # row j is the window ending at the block's j-th iteration, newest tap
-    # first: a reversed sliding-window view.  d is taken on this view: a
-    # contiguous copy would round differently in the last bit.
-    step = scaled.itemsize
-    X = np.ndarray((n_iters, L), buffer=scaled, offset=(L - 1) * step,
-                   strides=(step, -step))
+    # first.  d is taken on this view: a contiguous copy would round
+    # differently in the last bit.
+    X = np.lib.stride_tricks.sliding_window_view(scaled, L)[:, ::-1]
     d = X @ w_star + sigma_z * rng_z.standard_normal(n_iters)
-    return (np.ascontiguousarray(X), d,
-            SignalCarry(float(u[-1]), scaled[scaled.size - L + 1:].copy(), start + u.size))
+    return X, d, SignalCarry(float(u[-1]), scaled[scaled.size - L + 1:].copy(), start + u.size)

@@ -74,11 +74,14 @@ def inject_bad_regressor(monkeypatch, R, K, L, bad_value, bad_iteration,
     """Replace the regressor of node 0 at `bad_iteration` by `bad_value`,
     in each of `runs`, where the harness receives it: in the result of its
     per-block generate_node_signals call, with all R runs in one chunk and
-    signal blocks of `block_iterations` (default: one block).  The harness
-    keeps only each row's newest sample (and, on a first block, row 0's
-    warm-up samples), so the corrupted row reaches the filters through its
-    newest sample: in the regressor at `bad_iteration` first, then in the
-    L-1 after it.  Returns the list that gets one entry per call."""
+    signal blocks of `block_iterations` (default: one block).  The
+    generator's X is a read-only view, so the hook corrupts a copy, which
+    the harness reads as it reads X.  The harness keeps each row's newest
+    sample and row 0's L-1 older taps, so the corrupted row reaches the
+    filters through its newest sample: in the regressor at `bad_iteration`
+    first, then in the L-1 after it.  A corrupted row 0 also supplies the
+    older taps, which enter only windows that already hold that newest
+    sample.  Returns the list that gets one entry per call."""
     if block_iterations is not None:
         monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", block_iterations * R * K * L)
     generate = drlsnet.harness.generate_node_signals
@@ -91,6 +94,7 @@ def inject_bad_regressor(monkeypatch, R, K, L, bad_value, bad_iteration,
         block, node_run = divmod(len(calls), R * K)
         first = 1 + block * (block_iterations or 0)  # iteration of X[0]
         if node_run in bad_node_runs and first <= bad_iteration < first + len(X):
+            X = X.copy()
             X[bad_iteration - first] = bad_value
         calls.append(None)
         return X, d, carry
@@ -195,6 +199,38 @@ class TestRunEnsemble:
                                                           block_iterations):
         assert_blocks_match_one_block(monkeypatch, 2, 400, block_iterations, excluded=5)
 
+    def test_results_do_not_depend_on_run_length(self, monkeypatch):
+        # a run's first N iterations equal an N-iteration run bit for bit
+        # (no run trips here): one run per chunk in 4-iteration signal
+        # blocks over 60 iterations against all runs in one block over 150
+        K, L, R = 4, 3, 5
+        comb, nv = desk_network(K)
+        amplitude = amplitude_table(Profile(kind="pulsed", period=4, duty_cycle=0.5,
+                                            v_low=0.1, v_high=1.5), nodes=K)
+
+        def run(N):
+            return run_ensemble(comb, nv, amplitude, ColoredProcessParams(rho=0.8, length=L),
+                                0.995, 0.01, EnsembleSpec(runs=R, iterations=N, master_seed=9),
+                                collect_mean_error=True, snapshot_every=20)
+
+        chunk_runs(monkeypatch, 1)
+        monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", 4 * K * L)
+        short = run(60)
+        chunk_runs(monkeypatch, R)
+        monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", 10 ** 9)
+        long = run(150)
+        assert long.excluded_runs == {"rls": [], "drls": []}
+        for algo in ("rls", "drls"):
+            assert np.array_equal(short.msd_empirical[algo], long.msd_empirical[algo][:60])
+            assert short.snapshots[algo]["iteration"] == [20, 40, 60]
+            assert long.snapshots[algo]["iteration"][:3] == [20, 40, 60]
+            assert np.array_equal(short.snapshots[algo]["weights"],
+                                  long.snapshots[algo]["weights"][:3])
+        assert np.array_equal(short.msd_theory, long.msd_theory[:60])
+        assert np.array_equal(short.mean_err_norm_theory, long.mean_err_norm_theory[:60])
+        assert np.array_equal(short.mean_err_norm_empirical,
+                              long.mean_err_norm_empirical[:60])
+
     def test_signals_held_one_block_at_a_time(self, monkeypatch):
         # a chunk must not hold its whole run's (N, B, K, L) signals: the
         # traced peak stays well below that block (8.2 MB here)
@@ -226,8 +262,8 @@ class TestRunEnsemble:
         # one block (nb = 976 >= N at the default _SIGNAL_BLOCK) is held
         # as its (N+L-1, R, K) input samples, not as the (N, R, K, L)
         # regressor windows (7.8 MB here): the traced peak stays well below.
-        # It includes two node-runs' (N, L) generator outputs, the one being
-        # made and the one before it, 1/(2RK) of the block each
+        # The generator's X is a view over its N+L-1 samples, so no call
+        # allocates a node-run's (N, L) windows either
         K, L, R, N = 8, 32, 4, 950
         windows = N * R * K * L * 8
         comb = identity_combiner(K)
@@ -349,6 +385,16 @@ class TestRunEnsemble:
         # block; the trip is reported at that exact iteration
         traj = run_with_bad_regressor(monkeypatch, bad_value, 10, block_iterations=4)
         assert traj.excluded_runs == {"rls": [(1, 10)], "drls": [(1, 10)]}
+        for algo in ("rls", "drls"):
+            assert np.isfinite(traj.msd_empirical[algo]).all()
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_at_a_block_start_trips_guard(self, monkeypatch, bad_value):
+        # in 4-iteration signal blocks, iteration 9 is row 0 of the third
+        # block, whose older taps come from that row too; the trip is
+        # reported at that exact iteration
+        traj = run_with_bad_regressor(monkeypatch, bad_value, 9, block_iterations=4)
+        assert traj.excluded_runs == {"rls": [(1, 9)], "drls": [(1, 9)]}
         for algo in ("rls", "drls"):
             assert np.isfinite(traj.msd_empirical[algo]).all()
 

@@ -351,6 +351,16 @@ def test_batch_generator_matches_stateful_path():
     assert np.array_equal(X, np.array(xs))
 
 
+def test_regressor_block_is_read_only():
+    # consecutive windows share L-1 samples in memory, so a write through
+    # one row would change the rows beside it
+    params = ColoredProcessParams(rho=0.8, length=4)
+    X, _, _ = generate_node_signals(PULSED_ROW, params, make_ground_truth(4, 3), 0.0, 10,
+                                    np.random.default_rng(1), np.random.default_rng(2))
+    with pytest.raises(ValueError):
+        X[2] = 0.0
+
+
 def generate_in_blocks(amplitude, params, w_star, sigma_z, N, block, seeds):
     """generate_node_signals over N iterations, `block` iterations per call."""
     rng_u, rng_z = (np.random.default_rng(s) for s in seeds)
