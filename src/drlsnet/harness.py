@@ -53,14 +53,13 @@ class EnsembleSpec:
 
 @dataclass
 class Trajectory:
-    """Per-iteration curves (linear units), w_star, snapshots and each algorithm's
-    excluded runs; it averaged the other `spec.runs - len(excluded_runs[a])`."""
+    """Empirical MSD per algorithm, theory MSD and mean-error norm (linear units),
+    w_star, snapshots and excluded runs; the MSD averages the other runs."""
 
     iterations: int
     msd_empirical: dict[str, np.ndarray]
     msd_theory: np.ndarray | None
     mean_err_norm_theory: np.ndarray | None
-    mean_err_norm_empirical: np.ndarray | None = None
     w_star: np.ndarray | None = None
     snapshots: dict[str, dict] = field(default_factory=dict)
     excluded_runs: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
@@ -71,9 +70,8 @@ class ExcludedRunThresholdError(RuntimeError):
 
 
 def _default_chunk(K: int, N: int, L: int) -> int:
-    # runs simulated together: bounds the chunk's (B, N) per-run curves
-    # and, with collect_mean_error, its (B, N, K, L) error trajectory,
-    # which stays around 100 MB; signals are held one time block at a time
+    # runs simulated together: bounds the chunk's (B, N) squared deviations,
+    # its only per-run curves; signals are held one time block at a time
     return max(1, int(1.5e7 / (K * N * L)))
 
 
@@ -88,8 +86,7 @@ _MAX_EXCLUDED_FRACTION = 0.01
 def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                  amplitude: np.ndarray, params: ColoredProcessParams, lam: float,
                  delta: float, spec: EnsembleSpec, *, guard: float = 1e12,
-                 include_theory: bool = True, collect_mean_error: bool = False,
-                 snapshot_every: int = 0) -> Trajectory:
+                 include_theory: bool = True, snapshot_every: int = 0) -> Trajectory:
     """Simulate the selected algorithms over R independent runs.
 
     Empirical MSD_n averages ||w_{k,n} - w_star||^2 over surviving runs
@@ -97,20 +94,19 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     algorithms share one inverse correlation recursion per run, so a run
     whose P trips the magnitude guard is excluded for every algorithm at
     once, and reported; the experiment fails if more than 1% of runs
-    (`_MAX_EXCLUDED_FRACTION`), or every run, are lost.  With
-    `collect_mean_error`, the DRLS ensemble mean of w_{k,n} - w_star is
-    kept too, as its norm per iteration (None when DRLS is not selected).
+    (`_MAX_EXCLUDED_FRACTION`), or every run, are lost.  `include_theory`
+    adds the theory's MSD and mean-error norm; `snapshot_every` > 0 keeps
+    the first run's per-node weights at its multiples.
     `amplitude` is the (K, T) table of sigma_x(n), n = 0..T-1, per node.
 
     Runs are simulated `_default_chunk(K, N, L)` at a time, looked up at
-    each call, and each chunk's signals are generated in time blocks of
-    nb iterations, nb*B*K*L at most `_SIGNAL_BLOCK` regressor elements,
-    each node-run carrying its generators and filter state across blocks.
-    A block is held as its (nb+L-1)*B*K scaled input samples, all taken
-    from the generator's window view: the L-1 older taps of its first
-    window, then the newest tap of each.  Each step copies the regressors
-    x_{k,n}, a tapped delay line over those samples, out of the window
-    that ends at n.  Neither size changes any result.
+    each call, and a chunk's signals in time blocks of nb iterations,
+    nb*B*K*L at most `_SIGNAL_BLOCK` regressor elements, each node-run
+    carrying its generators and filter state across blocks.  A block is
+    held as its (nb+L-1)*B*K scaled input samples, from the generator's
+    window view: the L-1 older taps of its first window, then each
+    window's newest.  Each step copies the regressors x_{k,n}, a tapped
+    delay line over those samples, out of them.  No size changes a result.
     """
     A = combiner.A
     K = A.shape[0]
@@ -127,9 +123,6 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
 
     algos = [a for a in ALGORITHMS if a in spec.algorithms]
     dev_sq_sum = {a: np.zeros(N) for a in algos}
-    # the ensemble mean error is kept for DRLS only, the theory's counterpart
-    keep_err = collect_mean_error and "drls" in algos
-    err_sum = np.zeros((N, K, L)) if keep_err else None
     excluded: list[tuple[int, int]] = []  # (run, iteration of its first trip)
     snapshots: dict[str, dict] = {}  # first run's per-node weights
 
@@ -177,7 +170,6 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         # passes guard/2 (the 2 covers the bound's own rounding)
         bound = np.full(B, 1.0 / delta)
         dev_sq = {a: np.empty((B, N)) for a in algos}
-        err_traj = np.empty((B, N, K, L)) if keep_err else None
 
         for n in range(N):
             j = n % nb
@@ -195,8 +187,6 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                 w = iterate[a](states[a], x, d[j], gain)
                 dev = w - w_star
                 dev_sq[a][:, n] = np.einsum("bki,bki->b", dev, dev)
-                if keep_err and a == "drls":
-                    err_traj[:, n] = dev
                 if snapshot_every and run_ids.start == 0 and (n + 1) % snapshot_every == 0:
                     snap = snapshots.setdefault(a, {"iteration": [], "weights": []})
                     snap["iteration"].append(n + 1)
@@ -209,8 +199,6 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
                 continue
             for a in algos:
                 dev_sq_sum[a] += dev_sq[a][b]
-            if keep_err:
-                err_sum[:] += err_traj[b]
 
     chunk = _default_chunk(K, N, L)
     for start in range(0, R if algos else 0, chunk):
@@ -223,9 +211,6 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
             f"{_MAX_EXCLUDED_FRACTION:.0%}, and not all); first: {excluded[:5]}")
 
     msd_empirical = {a: dev_sq_sum[a] / (runs_effective * K) for a in algos}
-    mean_err_norm_emp = (np.linalg.norm(err_sum / runs_effective, axis=(1, 2))
-                         if keep_err else None)
-
     msd_theory = mean_err_norm_theory = None
     if include_theory:
         msd_theory, mean_err_norm_theory = theoretical_trajectory(
@@ -234,7 +219,6 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     return Trajectory(
         iterations=N, msd_empirical=msd_empirical, msd_theory=msd_theory,
         mean_err_norm_theory=mean_err_norm_theory,
-        mean_err_norm_empirical=mean_err_norm_emp,
         w_star=w_star.copy(), snapshots=snapshots,
         excluded_runs={a: list(excluded) for a in algos})
 

@@ -12,6 +12,7 @@ from scipy.linalg import toeplitz
 from scipy.signal import detrend, lfilter
 from scipy.sparse.csgraph import connected_components
 
+import drlsnet.harness
 from drlsnet.filters import init_state, update_inverse_correlation
 from drlsnet.signals import (colored_autocorrelation, generate_node_signals,
                              make_ground_truth)
@@ -174,13 +175,43 @@ def ensemble_signals(comb, nv, amplitude, params, spec):
     return w_star, X, d
 
 
+def drls_mean_error_norm(monkeypatch, simulate, N):
+    """(trajectory, ||mean_r w_{k,n} - w_star|| per iteration) for the DRLS
+    ensemble of `simulate()`, a run_ensemble call over N iterations.
+
+    harness.drls_iteration is wrapped by name, since the harness looks
+    its iterations up once per chunk, and each step's estimates, summed
+    over the chunk's runs, are added into one (N, K, L) array.  No run may
+    be excluded, so the mean is over every run; the norm is over all K
+    nodes' L taps.
+    """
+    step, calls, runs, total = drlsnet.harness.drls_iteration, 0, 0, None
+
+    def summed(*args):
+        nonlocal calls, runs, total
+        w = step(*args)
+        if total is None:
+            total = np.zeros((N,) + w.shape[1:])
+        if calls % N == 0:  # a chunk's first step
+            runs += len(w)
+        total[calls % N] += w.sum(axis=0)
+        calls += 1
+        return w
+
+    monkeypatch.setattr(drlsnet.harness, "drls_iteration", summed)
+    traj = simulate()
+    assert traj.excluded_runs["drls"] == [] and calls % N == 0
+    return traj, np.linalg.norm(total / runs - traj.w_star, axis=(1, 2))
+
+
 def independent_states_msd(comb, nv, amplitude, params, lam, delta, spec,
-                           step=blas_step, mix=blas_combine):
+                           step=blas_step, mix=blas_combine, skip=()):
     """MSD curves from a loop that gives every algorithm its own P.
 
     Draws the signals through run_ensemble's seed layout and reduces in
-    run order.  With the default step and combine, the package's
-    arithmetic, the curves must equal run_ensemble's bit for bit.
+    run order, leaving out the runs in `skip`.  With the default step and
+    combine, the package's arithmetic, the curves must equal
+    run_ensemble's bit for bit.
     """
     A = comb.A
     K, L, N, R = A.shape[0], params.length, spec.iterations, spec.runs
@@ -200,8 +231,9 @@ def independent_states_msd(comb, nv, amplitude, params, lam, delta, spec,
             dev_sq[:, n] = np.einsum("bki,bki->b", dev, dev)
         total = np.zeros(N)
         for r in range(R):
-            total += dev_sq[r]
-        msd[algo] = total / (R * K)
+            if r not in skip:
+                total += dev_sq[r]
+        msd[algo] = total / ((R - len(skip)) * K)
     return msd
 
 

@@ -27,7 +27,8 @@ from drlsnet.signals import (ColoredProcessParams, colored_autocorrelation,
                              generate_node_signals, make_ground_truth)
 from drlsnet.theory import (expected_phi_step, initial_theory_state,
                             k_matrix_step, mean_error_step, transition_blocks)
-from oracles import Profile, amplitude_table, input_covariance, noise_term, sigma_at
+from oracles import (Profile, amplitude_table, drls_mean_error_norm, input_covariance,
+                     noise_term, sigma_at)
 
 K, L, LAM, DELTA, RHO = 10, 8, 0.995, 0.01, 0.8
 MASTER_SEED = 42
@@ -137,16 +138,17 @@ class TestCriterion3SlowVariationPeriodicity:
 
 
 class TestCriterion4MeanConvergence:
-    def test_mean_error_decays(self, desk, params):
-        traj = run_desk(desk, params, None, 500, 5000,
-                        algorithms=("drls",), collect_mean_error=True)
+    def test_mean_error_decays(self, desk, params, monkeypatch):
+        traj, emp_norm = drls_mean_error_norm(
+            monkeypatch, lambda: run_desk(desk, params, None, 500, 5000,
+                                          algorithms=("drls",)), 5000)
         th_floor = traj.mean_err_norm_theory.min()
         n_hit = int(np.argmax(traj.mean_err_norm_theory < 1e-6)) + 1
         ok_th = th_floor < 1e-6
         # ensemble mean of R runs cannot fall below the Monte Carlo
         # noise floor sqrt(steady MSD * K / R); allow 3x that level
         floor = 3 * np.sqrt(traj.msd_theory[-1] * K / 500)
-        emp_tail = traj.mean_err_norm_empirical[-500:].mean()
+        emp_tail = emp_norm[-500:].mean()
         ok_emp = emp_tail <= floor
         report(4, "mean convergence", ok_th and ok_emp,
                f"theory norm < 1e-6 at n={n_hit}, empirical tail "

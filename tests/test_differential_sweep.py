@@ -145,8 +145,7 @@ def simulate(cfg, *, theory):
         cfg.build_combiner(), cfg.noise_variances(), cfg.build_profiles(),
         cfg.process_params(), cfg["algorithm"]["forgetting_factor"],
         cfg["algorithm"]["delta"], cfg.ensemble_spec(), guard=cfg["algorithm"]["guard"],
-        include_theory=theory, collect_mean_error=True,
-        snapshot_every=cfg["output"]["snapshot_every"])
+        include_theory=theory, snapshot_every=cfg["output"]["snapshot_every"])
 
 
 def node_profiles(cfg) -> list[Profile]:
@@ -167,10 +166,6 @@ def assert_same_outputs(got, want) -> None:
                                   want.snapshots[algo]["weights"])
     assert got.snapshots.keys() == want.snapshots.keys()
     assert got.excluded_runs == want.excluded_runs
-    if want.mean_err_norm_empirical is None:
-        assert got.mean_err_norm_empirical is None
-    else:
-        assert np.array_equal(got.mean_err_norm_empirical, want.mean_err_norm_empirical)
 
 
 def spy_on_k_matrix_step(monkeypatch) -> list:

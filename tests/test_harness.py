@@ -1,4 +1,5 @@
 from pathlib import Path
+import re
 import tracemalloc
 import types
 
@@ -13,7 +14,8 @@ from drlsnet.harness import (EnsembleSpec, ExcludedRunThresholdError,
 from drlsnet.network import (CombinationMatrix, build_combination_matrix,
                              build_topology, draw_noise_variances)
 from drlsnet.signals import ColoredProcessParams
-from oracles import (Profile, amplitude_table, ensemble_signals, every_step_trips,
+from oracles import (Profile, amplitude_table, blas_combine, blas_step,
+                     drls_mean_error_norm, ensemble_signals, every_step_trips,
                      independent_states_msd, linear_detrend)
 
 CONST = Profile(kind="constant", level=1.0)
@@ -124,8 +126,8 @@ def run_with_bad_regressor(monkeypatch, bad_value, bad_iteration, block_iteratio
 def assert_blocks_match_one_block(monkeypatch, L, N, block_iterations, excluded):
     """8 runs of the faint 3-node case, 3 per chunk, in signal blocks of
     `block_iterations`: curves, exclusions (with the iteration of their
-    first trip; `excluded` runs are lost), mean error and snapshots match
-    one whole-run block exactly."""
+    first trip; `excluded` runs are lost) and snapshots match one
+    whole-run block exactly."""
     comb, nv = desk_network(3)
     params = ColoredProcessParams(rho=0.8, length=L)
     spec = EnsembleSpec(runs=8, iterations=N, master_seed=21)
@@ -133,8 +135,7 @@ def assert_blocks_match_one_block(monkeypatch, L, N, block_iterations, excluded)
     def run():
         return run_ensemble(comb, nv, FAINT,
                             params, 0.995, 0.01, spec, guard=440.0,
-                            include_theory=False, collect_mean_error=True,
-                            snapshot_every=50)
+                            include_theory=False, snapshot_every=50)
 
     monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
     chunk_runs(monkeypatch, 3)
@@ -150,7 +151,6 @@ def assert_blocks_match_one_block(monkeypatch, L, N, block_iterations, excluded)
         assert got.snapshots[algo]["iteration"] == want.snapshots[algo]["iteration"]
         assert np.array_equal(got.snapshots[algo]["weights"],
                               want.snapshots[algo]["weights"])
-    assert np.array_equal(got.mean_err_norm_empirical, want.mean_err_norm_empirical)
 
 
 class TestRunEnsemble:
@@ -211,7 +211,7 @@ class TestRunEnsemble:
         def run(N):
             return run_ensemble(comb, nv, amplitude, ColoredProcessParams(rho=0.8, length=L),
                                 0.995, 0.01, EnsembleSpec(runs=R, iterations=N, master_seed=9),
-                                collect_mean_error=True, snapshot_every=20)
+                                snapshot_every=20)
 
         chunk_runs(monkeypatch, 1)
         monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", 4 * K * L)
@@ -228,8 +228,6 @@ class TestRunEnsemble:
                                   long.snapshots[algo]["weights"][:3])
         assert np.array_equal(short.msd_theory, long.msd_theory[:60])
         assert np.array_equal(short.mean_err_norm_theory, long.mean_err_norm_theory[:60])
-        assert np.array_equal(short.mean_err_norm_empirical,
-                              long.mean_err_norm_empirical[:60])
 
     def test_signals_held_one_block_at_a_time(self, monkeypatch):
         # a chunk must not hold its whole run's (N, B, K, L) signals: the
@@ -283,25 +281,30 @@ class TestRunEnsemble:
             tracemalloc.stop()
         assert peak < windows / 4
 
-    def test_mean_error_is_drls_only(self, monkeypatch):
-        # the empirical mean error is DRLS's whatever else runs beside it,
-        # independent of chunking, and absent when DRLS does not run
-        comb, nv = desk_network(4)
-
-        def mean_error(algorithms):
-            spec = EnsembleSpec(runs=5, iterations=60, master_seed=17,
-                                algorithms=algorithms)
-            return run_ensemble(comb, nv, amplitude_table(CONST, nodes=4),
-                                ColoredProcessParams(rho=0.8, length=3),
-                                0.995, 0.01, spec, include_theory=False,
-                                collect_mean_error=True).mean_err_norm_empirical
-
-        drls = mean_error(("drls",))
-        assert drls.shape == (60,) and np.isfinite(drls).all()
-        assert np.array_equal(mean_error(("rls", "drls")), drls)
-        assert mean_error(("rls",)) is None
+    def test_drls_mean_error_helper_matches_replay(self, monkeypatch):
+        # criterion 4's ensemble mean error, summed per chunk through the
+        # wrapped iteration over two chunks of 2 runs, against every run
+        # replayed from its own signals in the package's arithmetic
         chunk_runs(monkeypatch, 2)
-        assert np.array_equal(mean_error(("drls",)), drls)
+        K, L, R, N = 3, 2, 4, 60
+        comb, nv = desk_network(K)
+        amplitude = amplitude_table(Profile(kind="pulsed", period=8, duty_cycle=0.5,
+                                            v_low=0.1, v_high=1.5), nodes=K)
+        params = ColoredProcessParams(rho=0.8, length=L)
+        spec = EnsembleSpec(runs=R, iterations=N, master_seed=17, algorithms=("drls",))
+        traj, got = drls_mean_error_norm(monkeypatch, lambda: run_ensemble(
+            comb, nv, amplitude, params, 0.995, 0.01, spec, include_theory=False), N)
+        w_star, X, d = ensemble_signals(comb, nv, amplitude, params, spec)
+        P = np.broadcast_to(np.eye(L) / 0.01, (R, K, L, L)).copy()
+        w = np.zeros((R, K, L))
+        want = np.empty(N)
+        for n in range(N):
+            e = d[n] - np.einsum("rki,rki->rk", X[n], w)
+            P, gain = blas_step(P, X[n], 0.995)
+            w = blas_combine(comb.A, w + gain * e[..., None])
+            want[n] = np.linalg.norm(w.mean(axis=0) - w_star)
+        assert np.array_equal(traj.w_star, w_star)
+        assert (np.abs(got - want) <= 1e-12 * want).all()
 
     def test_initial_msd_anchor(self):
         # w_0 = 0 and ||w_star||^2 = 1: MSD at n=0 is 0 dB by construction
@@ -435,6 +438,70 @@ class TestRunEnsemble:
             traj = run_ensemble(comb, nv, FAINT, params, 0.995, 0.01, spec, guard=440.0,
                                 include_theory=False)
         assert traj.excluded_runs == {"rls": want, "drls": want}
+
+    @pytest.mark.parametrize("guard_at", ["between", "equal", "far"])
+    def test_zero_input_trips_where_an_every_step_scan_does(self, guard_at):
+        # with zero input the gain is 0, P_n = P_{n-1} * fl(1/lam) and the
+        # bound is fl(bound / lam): the bound follows P's growth by 1/lam
+        # alone ("far": a guard 3x above P_0).  It can round below P, and P
+        # passes a guard set between the two a step before the bound does
+        # ("between"; the factor 2 in guard/2 covers this).  Only passing
+        # the guard trips ("equal": a guard equal to P_2 trips at 3).
+        # Every run trips, so the error names the first trip
+        K, L, N, lam, delta = 2, 2, 120, 0.99, 0.1
+        chain, P, bound = [], 1.0 / delta, 1.0 / delta  # (P_n, bound_n), n >= 1
+        for _ in range(N):
+            P, bound = P * (1.0 / lam), bound / lam
+            chain.append((P, bound))
+        guard = {"between": next(b for p, b in chain if b < p), "equal": chain[1][0],
+                 "far": 3.0 / delta}[guard_at]
+        want = every_step_trips(np.zeros((N, 1, K, L)), lam, delta, guard)
+        assert len(want) == 1 and (guard_at != "equal" or want == [(0, 3)])
+        with pytest.raises(ExcludedRunThresholdError, match=re.escape(f"first: {want}")):
+            run_ensemble(identity_combiner(K), np.full(K, 0.01), np.zeros((K, 1)),
+                         ColoredProcessParams(rho=0.5, length=L), lam, delta,
+                         EnsembleSpec(runs=1, iterations=N, master_seed=3), guard=guard,
+                         include_theory=False)
+
+    def test_negative_entry_past_the_guard_trips(self, monkeypatch):
+        # the scan reads max |P|, so a P whose largest entry in magnitude is
+        # negative, as in a P that rounding has left indefinite, trips:
+        # -1e3 is written off the diagonal of run 1, node 0 by the first
+        # update, whose bound (about 1/delta) is past guard/2, so it scans
+        update, calls = drlsnet.harness.update_inverse_correlation, []
+
+        def corrupting(P, x, lam, work):
+            gain = update(P, x, lam, work)
+            calls.append(None)
+            if len(calls) == 1:
+                P[1, 0, 0, 1] = P[1, 0, 1, 0] = -1e3
+            return gain
+
+        monkeypatch.setattr(drlsnet.harness, "update_inverse_correlation", corrupting)
+        monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
+        comb, nv = desk_network(3)
+        spec = EnsembleSpec(runs=3, iterations=20, master_seed=5)
+        with np.errstate(invalid="ignore"):
+            traj = run_ensemble(comb, nv, amplitude_table(CONST, nodes=3),
+                                ColoredProcessParams(rho=0.5, length=2), 0.995, 0.01,
+                                spec, guard=150.0, include_theory=False)
+        assert traj.excluded_runs == {"rls": [(1, 1)], "drls": [(1, 1)]}
+
+    def test_msd_averages_the_surviving_runs(self, monkeypatch):
+        # the pinned mid-run case: each curve averages runs 0, 5 and 6
+        # alone, bit for bit as a replay of those runs in run order
+        monkeypatch.setattr(drlsnet.harness, "_MAX_EXCLUDED_FRACTION", 1.0)
+        chunk_runs(monkeypatch, 3)
+        comb, nv = desk_network(3)
+        params = ColoredProcessParams(rho=0.8, length=2)
+        spec = EnsembleSpec(runs=8, iterations=400, master_seed=21)
+        traj = run_ensemble(comb, nv, FAINT, params, 0.995, 0.01, spec, guard=440.0,
+                            include_theory=False)
+        lost = {r for r, _ in traj.excluded_runs["drls"]}
+        assert lost == {1, 2, 3, 4, 7}
+        want = independent_states_msd(comb, nv, FAINT, params, 0.995, 0.01, spec, skip=lost)
+        for algo in ("rls", "drls"):
+            assert np.array_equal(traj.msd_empirical[algo], want[algo])
 
     @pytest.mark.parametrize("algorithms", [("rls", "drls"), ("rls",), ("drls",)])
     def test_shared_recursion_matches_independent_states(self, monkeypatch, algorithms):
