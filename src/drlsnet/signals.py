@@ -88,23 +88,24 @@ class SignalCarry(NamedTuple):
     """What a node-run's next block of signals continues from."""
 
     last_u: float       # the last raw AR(1) sample u
-    tail: np.ndarray    # the last L-1 scaled samples, oldest first
+    tail: np.ndarray    # the last L-1 scaled samples, oldest first (1 before the first block)
     next_time: int      # time index of the next sample to generate
 
 
 def _ar1(innov: np.ndarray, rho: float, u: float) -> np.ndarray:
-    """Continue u_n = rho u_{n-1} + sqrt(1-rho^2) w_n from the raw sample u.
+    """[u, u_1, .., u_m]: u_n = rho u_{n-1} + sqrt(1-rho^2) w_n continued from u.
 
     Each sample is rounded as fl(fl(rho u_{n-1}) + fl(c w_n)), the way a
     first-order IIR filter section rounds it, in one pass over the block.
     """
-    cw = (math.sqrt(1.0 - rho ** 2) * innov).tolist()
+    cw = memoryview(math.sqrt(1.0 - rho ** 2) * innov)
 
     def recursion(u):
+        yield u
         for v in cw:
             u = rho * u + v
             yield u
-    return np.fromiter(recursion(u), float, len(cw))
+    return np.fromiter(recursion(u), float, len(cw) + 1)
 
 
 def generate_node_signals(amplitude: np.ndarray,
@@ -121,29 +122,27 @@ def generate_node_signals(amplitude: np.ndarray,
     Returns (X, d, carry): X[j] is the regressor at the block's j-th
     iteration, shape (n_iters, L), d = X w_star + sigma_z * z, shape
     (n_iters,), and carry what the next block continues from.  X is a
-    read-only sliding-window view over the block's n_iters+L-1 scaled
-    samples, so consecutive rows share L-1 entries: X[0, :0:-1] is the
-    L-1 samples before the block, oldest first, and X[:, 0] the block's
-    own samples.  Callers copy X before writing to it.  With
-    `carry=None` the block starts at iteration 1: the AR recursion runs
-    from one stationary N(0, 1) draw, and warm-up covers times 2-L .. 0
-    so X[0] is fully formed.  Feeding each block's carry, with the same
-    two generators, into the next call yields exactly the samples of one
-    call over all the iterations: the draws and the AR state chain.
+    read-only window view over the block's n_iters+L-1 scaled samples,
+    so consecutive rows share L-1 entries: X[0, :0:-1] is the L-1
+    samples before the block, oldest first, and X[:, 0] the block's own
+    samples.  Callers copy X before writing to it.  `carry=None` starts
+    at iteration 1 from a carry primed with one stationary N(0, 1) draw at
+    time 2-L, so warm-up covers times 2-L .. 0.  Feeding each block's
+    carry, with the same two generators, into the next call yields
+    exactly the samples of one call over all the iterations.
     """
-    L, rho = params.length, params.rho
+    L, T = params.length, amplitude.size
     if carry is None:
-        start, tail = 2 - L, np.empty(0)
-        innov = rng_u.standard_normal(n_iters + L - 1)
-        u = np.concatenate((innov[:1], _ar1(innov[1:], rho, float(innov[0]))))
-    else:
-        start, tail = carry.next_time, carry.tail
-        u = _ar1(rng_u.standard_normal(n_iters), rho, carry.last_u)
-    times = np.arange(start, start + u.size)
-    scaled = np.concatenate((tail, amplitude[times % amplitude.size] * u))
-    # row j is the window ending at the block's j-th iteration, newest tap
-    # first.  d is taken on this view: a contiguous copy would round
-    # differently in the last bit.
-    X = np.lib.stride_tricks.sliding_window_view(scaled, L)[:, ::-1]
+        u0 = rng_u.standard_normal()
+        carry = SignalCarry(u0, amplitude[[(2 - L) % T]] * u0, 3 - L)
+    last_u, tail, start = carry
+    u = _ar1(rng_u.standard_normal(n_iters + L - 1 - tail.size), params.rho, last_u)
+    times = np.arange(start, start + u.size - 1)
+    scaled = np.concatenate((tail, amplitude[times % T] * u[1:]))
+    # row j: the window ending at the block's j-th iteration, newest tap first.
+    # d is taken on this view: a contiguous copy rounds differently in the last bit.
+    s = scaled.strides[0]
+    X = np.lib.stride_tricks.as_strided(scaled[L - 1:], (n_iters, L), (s, -s),
+                                        writeable=False)
     d = X @ w_star + sigma_z * rng_z.standard_normal(n_iters)
-    return X, d, SignalCarry(float(u[-1]), scaled[scaled.size - L + 1:].copy(), start + u.size)
+    return X, d, SignalCarry(float(u[-1]), scaled[n_iters:].copy(), start + times.size)

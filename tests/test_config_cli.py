@@ -4,6 +4,7 @@ import importlib.util
 import json
 import re
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from drlsnet import cli, harness, theory
 from drlsnet.cli import (CSV_COLUMNS, EXIT_ACCEPTANCE, EXIT_NUMERIC, EXIT_OK,
                          EXIT_VALIDATION, main, run_experiment)
-from drlsnet.config import (ConfigError, config_to_text, parse_config,
+from drlsnet.config import (ConfigError, ExperimentConfig, config_to_text, parse_config,
                             resolve_config, with_overrides)
 from oracles import Profile, sigma_at
 
@@ -25,6 +26,9 @@ SMALL = {
     "ensemble": {"runs": "3", "iterations": "120", "master_seed": "5"},
     "output": {"plot_script": "false"},
 }
+
+# one run of 20 iterations: for tests of what is written, not of its numbers
+TINY = {**SMALL, "ensemble": {"runs": "1", "iterations": "20", "master_seed": "5"}}
 
 
 # a path graph with explicit combination rows, noise variances and phases:
@@ -123,6 +127,39 @@ class TestParsing:
         with pytest.raises(ConfigError, match="per node"):
             resolve_config({"network": {"nodes": "4", "topology": "ring",
                                         "noise_variances": "0.1, 0.2"}})
+
+    def test_rule_bounds_are_inclusive(self):
+        # lam may be 0.9 itself, and any positive guard is one
+        cfg = resolve_config({"algorithm": {"forgetting_factor": "0.9", "guard": "0.5"}})
+        assert cfg["algorithm"]["forgetting_factor"] == 0.9
+        assert cfg["algorithm"]["guard"] == 0.5
+
+    @pytest.mark.parametrize("section, values, message", [
+        ("network", {"combination_rows": "1, 0; 0, 1"},
+         "network.combination_rows: wrong shape"),
+        ("network", {"noise_variances": "0.1, 0.2"},
+         "network.noise_variances: need one variance"),
+        ("network", {"noise_variances": "0.1, -0.2, 0.1, 0.1"},
+         "network.noise_variances: all entries must be positive"),
+        ("signal", {"phases": "0, 1"}, "signal.phases: need one phase per node"),
+    ], ids=["rows-shape", "variance-count", "variance-sign", "phase-count"])
+    def test_builder_errors_name_their_key_once(self, section, values, message):
+        # a ConfigError from a builder already names its key, so the
+        # validation passes it on rather than prefixing its section
+        raw = {"network": {"nodes": "4", "topology": "ring"}}
+        raw.setdefault(section, {}).update(values)
+        with pytest.raises(ConfigError) as err:
+            resolve_config(raw)
+        assert str(err.value).startswith(message)
+
+    def test_programming_error_in_a_builder_is_not_a_config_error(self, monkeypatch):
+        # only a builder's ValueError is an input rule; anything else is a bug
+        def broken(self):
+            raise TypeError("programming error")
+
+        monkeypatch.setattr(ExperimentConfig, "build_profiles", broken)
+        with pytest.raises(TypeError, match="programming error"):
+            resolve_config({})
 
     def test_round_trip_through_text(self):
         cfg = parse_config(CONFIGS / "desk_pulsed_T32.ini")
@@ -267,6 +304,40 @@ class TestRunExperiment:
         first = lines[1].split(",")
         assert first[1] == "" and first[2] == ""  # no empirical curves
         assert first[3] != ""                      # theory present
+
+    def test_runtime_is_measured_within_the_call(self, tmp_path):
+        started = time.perf_counter()
+        run_experiment(resolve_config(TINY), out_dir=tmp_path)
+        elapsed = time.perf_counter() - started
+        meta = json.loads((tmp_path / "experiment_metadata.json").read_text())
+        assert 0 < meta["runtime_s"] <= elapsed
+
+    def test_snapshots_written_beside_the_csv(self, tmp_path):
+        raw = {**TINY, "output": {"plot_script": "false", "snapshot_every": "10"}}
+        assert run_experiment(resolve_config(raw), out_dir=tmp_path) == EXIT_OK
+        meta = json.loads((tmp_path / "experiment_metadata.json").read_text())
+        path = tmp_path / "experiment_snapshots.npz"
+        assert meta["outputs"]["snapshots_npz"] == str(path)
+        assert np.load(path)["drls_iteration"].tolist() == [10, 20]
+
+    @pytest.mark.parametrize("steady, transient, code", [
+        (1.0, 2.0, EXIT_OK),            # each mean may equal its tolerance
+        (1.5, 0.5, EXIT_ACCEPTANCE),    # steady alone over its tolerance
+        (0.5, 2.5, EXIT_ACCEPTANCE),    # transient alone over its tolerance
+    ])
+    def test_acceptance_gate_needs_both_means_within_tolerance(
+            self, tmp_path, monkeypatch, capsys, steady, transient, code):
+        report = {"steady_mean_abs_db": steady, "transient_mean_abs_db": transient}
+        monkeypatch.setattr(cli, "compare_theory_empirical", lambda traj: report)
+        assert run_experiment(resolve_config(TINY), out_dir=tmp_path,
+                              check_acceptance=True) == code
+        assert capsys.readouterr().out.endswith("PASS\n" if code == EXIT_OK else "FAIL\n")
+
+    def test_acceptance_without_drls_theory_fails(self, tmp_path, capsys):
+        raw = {**TINY, "algorithm": {"algorithms": "rls"}}
+        assert run_experiment(resolve_config(raw), out_dir=tmp_path,
+                              check_acceptance=True) == EXIT_ACCEPTANCE
+        assert "needs both theory and empirical drls curves" in capsys.readouterr().err
 
 
 class TestMain:
@@ -574,6 +645,18 @@ class TestMain:
 
         monkeypatch.setattr(cli, "run_ensemble", broken)
         with pytest.raises(RuntimeError, match="programming error"):
+            main(["run", str(path), "--out", str(tmp_path / "out")])
+
+    def test_value_error_from_a_run_is_not_validation_error(self, tmp_path, monkeypatch):
+        # a config is validated before it runs, so a ValueError from the run is a bug
+        path = tmp_path / "c.ini"
+        write_ini(path, SMALL)
+
+        def broken(*args, **kwargs):
+            raise ValueError("programming error")
+
+        monkeypatch.setattr(cli, "run_ensemble", broken)
+        with pytest.raises(ValueError, match="programming error"):
             main(["run", str(path), "--out", str(tmp_path / "out")])
 
     def test_sweep_explicit_edges(self, tmp_path):

@@ -42,6 +42,21 @@ class TestBuildTopology:
         b = build_topology("random_geometric", 20, radius=0.3, seed=1)
         assert np.array_equal(a, b)
 
+    def test_random_geometric_links_points_within_radius(self):
+        # K points uniform in the unit square from the seed's generator,
+        # linked at distance <= radius, the pair at exactly the radius too
+        pts = np.random.default_rng(5).random((8, 2))
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        radius = float(np.sort(dist, axis=None)[40])
+        adj = build_topology("random_geometric", 8, radius=radius, seed=5)
+        assert np.array_equal(adj, dist <= radius)
+        assert (dist == radius).any()
+
+    @pytest.mark.parametrize("radius, seed", [(None, 1), (0.5, None)])
+    def test_random_geometric_needs_radius_and_seed(self, radius, seed):
+        with pytest.raises(ValueError, match="needs a radius and a seed"):
+            build_topology("random_geometric", 5, radius=radius, seed=seed)
+
     @pytest.mark.parametrize("kind, kwargs", [
         ("ring", {}),
         ("random_geometric", {"radius": 0.6, "seed": 2}),
@@ -88,6 +103,17 @@ class TestBuildTopology:
     def test_explicit_edge_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             build_topology("explicit", 2, edges=[(0, 5)])
+
+    @pytest.mark.parametrize("edge", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_explicit_edge_one_past_either_end(self, edge):
+        # K itself would raise IndexError and -1 would wrap to node K-1
+        with pytest.raises(ValueError, match="out of range"):
+            build_topology("explicit", 2, edges=[(0, 1), edge])
+
+    @pytest.mark.parametrize("edges", [None, []])
+    def test_explicit_needs_edges(self, edges):
+        with pytest.raises(ValueError, match="needs an edge list"):
+            build_topology("explicit", 3, edges=edges)
 
 
 class TestCombinationMatrix:

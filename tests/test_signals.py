@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drlsnet.signals import (ColoredProcessParams, colored_autocorrelation,
+from drlsnet.signals import (ColoredProcessParams, _ar1, colored_autocorrelation,
                              generate_node_signals, make_ground_truth, sigma_table)
 from oracles import (Profile, amplitude_table, input_covariance, lfilter_raw_samples,
                      sigma_at, toeplitz_autocorrelation)
@@ -361,6 +362,25 @@ def test_regressor_block_is_read_only():
         X[2] = 0.0
 
 
+def test_desired_response_adds_scaled_noise_from_its_own_stream():
+    # d = X w_star + sigma_z z, z the next n draws of rng_z and nothing else
+    params = ColoredProcessParams(rho=0.8, length=4)
+    w_star = make_ground_truth(4, 3)
+    X, d, _ = generate_node_signals(PULSED_ROW, params, w_star, 0.3, 10,
+                                    np.random.default_rng(1), np.random.default_rng(2))
+    z = np.random.default_rng(2).standard_normal(10)
+    assert np.array_equal(d, X @ w_star + 0.3 * z)
+
+
+def test_carry_owns_its_tail():
+    # the carry outlives the block, so it must not hold the block's samples
+    params = ColoredProcessParams(rho=0.8, length=4)
+    X, _, carry = generate_node_signals(PULSED_ROW, params, make_ground_truth(4, 3), 0.0,
+                                        10, np.random.default_rng(1), np.random.default_rng(2))
+    assert np.array_equal(carry.tail, X[-1, -2::-1])
+    assert not np.shares_memory(carry.tail, X)
+
+
 def generate_in_blocks(amplitude, params, w_star, sigma_z, N, block, seeds):
     """generate_node_signals over N iterations, `block` iterations per call."""
     rng_u, rng_z = (np.random.default_rng(s) for s in seeds)
@@ -426,3 +446,39 @@ def test_ar1_matches_lfilter_over_chained_blocks(rho, L, blocks):
     want = lfilter_raw_samples(np.random.default_rng(3), rho, L, blocks)
     assert np.array_equal(raw, want)
     assert carry.last_u == want[-1]
+
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 8])
+def test_each_sample_scaled_at_its_own_time(L):
+    # every sample at times 2-L .. N, the first block's primed one
+    # included, is scaled by sigma_x of its own time: the filter oracle's
+    # raw samples times WAVY's formula rebuild every window
+    params = ColoredProcessParams(rho=0.8, length=L)
+    w_star = make_ground_truth(L, 1)
+    rng_u, rng_z = np.random.default_rng(3), np.random.default_rng(4)
+    blocks, carry, rows = [5, 1, 9], None, []
+    for size in blocks:
+        X, _, carry = generate_node_signals(amplitude_table(WAVY)[0], params, w_star, 0.0,
+                                            size, rng_u, rng_z, carry)
+        rows.append(X)
+    N = sum(blocks)
+    scaled = sigma_at(WAVY, np.arange(2 - L, N + 1)) * lfilter_raw_samples(
+        np.random.default_rng(3), 0.8, L, blocks)
+    assert np.array_equal(np.concatenate(rows),
+                          [scaled[j:j + L][::-1] for j in range(N)])
+
+def test_ar1_builds_no_per_sample_python_objects():
+    # the recursion reads c*w through a memoryview, so its peak is the c*w
+    # array and the output, 8 + 8 bytes per sample; a Python list of the
+    # block (an 8-byte pointer to a 24-byte float each) would add 32 more
+    n = 200_000
+    innov = np.random.default_rng(0).standard_normal(n)
+    tracemalloc.start()
+    try:
+        u = _ar1(innov, 0.8, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n
+    assert u.shape == (n + 1,) and u[0] == 0.5
