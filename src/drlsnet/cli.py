@@ -175,37 +175,35 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
+        cfg = parse_config(args.config)
         if args.command == "check":
-            cfg = parse_config(args.config)
             print(config_to_text(cfg))
             return EXIT_OK
         # --out overrides output.directory, so the metadata echoes where the files are
         out = {} if args.out is None else {"output.directory": args.out}
         if args.command == "run":
-            cfg = parse_config(args.config)
             if out:
                 cfg = with_overrides(cfg, out, source=args.config)
             return run_experiment(cfg, check_acceptance=args.check_acceptance)
-        if args.command == "sweep":
-            base = parse_config(args.config)
-            # resolve every value before running any, so a bad one writes nothing
-            cfgs = []
-            for value in args.values.split(","):
-                value = value.strip()
-                source = f"{args.config} [{args.param}={value}]"
-                cfg = with_overrides(base, {args.param: value}, source=source)
-                # read after the swept value, which may be the prefix itself
-                prefix = f"{cfg['output']['prefix']}_{args.param.split('.')[-1]}={value}"
-                cfgs.append(with_overrides(cfg, {"output.prefix": prefix, **out},
-                                           source=source))
-            return max(run_experiment(cfg) for cfg in cfgs)
+        # sweep: resolve every value before running any, so a bad one writes nothing
+        cfgs = []
+        for value in args.values.split(","):
+            value = value.strip()
+            source = f"{args.config} [{args.param}={value}]"
+            swept = with_overrides(cfg, {args.param: value}, source=source)
+            # read after the swept value, which may be the prefix itself
+            prefix = f"{swept['output']['prefix']}_{args.param.split('.')[-1]}={value}"
+            cfgs.append(with_overrides(swept, {"output.prefix": prefix, **out},
+                                       source=source))
+        for swept in cfgs:
+            run_experiment(swept)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ExcludedRunThresholdError, TheoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_OK
 
 
 if __name__ == "__main__":

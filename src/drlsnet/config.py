@@ -46,15 +46,9 @@ def _parse_list(s: str, conv):
     return [conv(tok.strip()) for tok in s.split(",") if tok.strip()] if s else []
 
 
-def _parse_edges(s: str) -> list[tuple[int, int]]:
-    edges = []
-    for tok in s.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        a, _, b = tok.partition("-")
-        edges.append((int(a), int(b)))
-    return edges
+def _parse_edge(s: str) -> tuple[int, int]:
+    a, _, b = s.partition("-")
+    return int(a), int(b)
 
 
 def _parse_matrix(s: str) -> list[list[float]]:
@@ -71,7 +65,7 @@ SCHEMA = {
         "topology": (str, "random_geometric"),
         "radius": (_finite, "0.45"),
         "topology_seed": (int, "7"),
-        "edges": (_parse_edges, None),
+        "edges": (lambda s: _parse_list(s, _parse_edge), None),
         "combination": (str, "uniform"),
         "combination_rows": (_parse_matrix, None),
         "noise_variances": (lambda s: _parse_list(s, _finite), None),
@@ -235,8 +229,6 @@ def resolve_config(raw: dict[str, dict[str, str]], source: str = "<dict>") -> Ex
 
 
 def _sections(parser: configparser.ConfigParser) -> dict[str, dict[str, str]]:
-    if parser.defaults():
-        raise ConfigError("top-level keys outside a section are not allowed")
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
@@ -248,6 +240,8 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"cannot read config file {path}")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ConfigError(f"a [DEFAULT] section is not allowed (in {path})")
     return resolve_config(_sections(parser), source=str(path))
 
 

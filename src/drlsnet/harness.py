@@ -70,8 +70,9 @@ class ExcludedRunThresholdError(RuntimeError):
 
 
 def _default_chunk(K: int, N: int, L: int) -> int:
-    # runs simulated together: bounds the chunk's (B, N) squared deviations,
-    # its only per-run curves; signals are held one time block at a time
+    # runs simulated together: 1.5e7 is the element budget of the (N, B, K, L)
+    # regressor array a chunk once held; none is held now, but larger chunks
+    # measured slower, and perfbench/selftest.py pins the full-scale 3 runs
     return max(1, int(1.5e7 / (K * N * L)))
 
 
@@ -136,24 +137,12 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         U = np.empty((nb + L - 1, B, K))
         d = np.empty((nb, B, K))
         x = np.empty((B, K, L))  # the step's regressors, newest tap first
-        # each node-run keeps its node, its column of the block, its two
-        # generators and the generator's carry (None before its first block)
-        streams = []
-        for b, r in enumerate(run_ids):
-            for k, node in enumerate(children[1 + r].spawn(K)):
-                ss_u, ss_z = node.spawn(2)
-                streams.append([k, U[:, b, k], d[:, b, k], np.random.default_rng(ss_u),
-                                np.random.default_rng(ss_z), None])
-
-        def next_block(n0: int) -> None:
-            size = min(nb, N - n0)
-            for s in streams:
-                k, u_k, d_k, rng_u, rng_z, carry = s
-                X_blk, d_k[:size], s[5] = generate_node_signals(
-                    amplitude[k], params, w_star, sigma_z[k], size, rng_u, rng_z, carry)
-                # row 0's older taps, oldest first, then each row's newest
-                u_k[:L - 1] = X_blk[0, :0:-1]
-                u_k[L - 1:L - 1 + size] = X_blk[:, 0]
+        # each node-run: its column (b, k) of the block and its two generators,
+        # with the generator's carry (None before its first block) alongside
+        node_runs = [(b, k, *map(np.random.default_rng, node.spawn(2)))
+                     for b, r in enumerate(run_ids)
+                     for k, node in enumerate(children[1 + r].spawn(K))]
+        carries = [None] * len(node_runs)
 
         # P_{k,n} depends only on node k's regressors, lam and delta, so
         # the selected algorithms share one recursion and its gain
@@ -174,7 +163,14 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         for n in range(N):
             j = n % nb
             if j == 0:
-                next_block(n)
+                size = min(nb, N - n)
+                for i, (b, k, rng_u, rng_z) in enumerate(node_runs):
+                    X_blk, d[:size, b, k], carries[i] = generate_node_signals(
+                        amplitude[k], params, w_star, sigma_z[k], size, rng_u, rng_z,
+                        carries[i])
+                    # row 0's older taps, oldest first, then each row's newest
+                    U[:L - 1, b, k] = X_blk[0, :0:-1]
+                    U[L - 1:L - 1 + size, b, k] = X_blk[:, 0]
             x[...] = U[j:j + L][::-1].transpose(1, 2, 0)
             gain = update_inverse_correlation(P, x, lam, work)
             # work holds u u^T; NaN and +-inf fail every comparison, so a

@@ -31,27 +31,25 @@ def sigma_table(kind: str, period: int, phases, *, duty_cycle: float, v_low: flo
 
     The phase-0 row is evaluated once; row k is it read at (n - phases[k]) mod T.
     """
-    if kind not in ("constant", "pulsed", "sinusoidal"):
-        raise ValueError(f"unknown profile kind {kind!r}")
     if period < 1:
         raise ValueError("period must be a positive integer")
-    if kind == "constant" and level <= 0:
-        raise ValueError("constant level must be positive")
-    if kind == "pulsed":
+    n = np.arange(period)
+    if kind == "constant":
+        if level <= 0:
+            raise ValueError("constant level must be positive")
+        row = np.full(period, level)
+    elif kind == "pulsed":
         if not 0 < duty_cycle < 1:
             raise ValueError("duty cycle must lie in (0, 1)")
         if not 0 < v_low < v_high:
             raise ValueError("need 0 < v_low < v_high")
-    if kind == "sinusoidal":
+        row = np.where(n < math.ceil(duty_cycle * period), v_high, v_low)
+    elif kind == "sinusoidal":
         if level <= 0 or not 0 <= mod_depth < 1:
             raise ValueError("need level > 0 and 0 <= mod_depth < 1")
-    n = np.arange(period)
-    if kind == "constant":
-        row = np.full(period, level)
-    elif kind == "pulsed":
-        row = np.where(n < math.ceil(duty_cycle * period), v_high, v_low)
-    else:
         row = level * (1.0 + mod_depth * np.sin(2.0 * np.pi * n / period))
+    else:
+        raise ValueError(f"unknown profile kind {kind!r}")
     return row[(n - np.asarray(phases)[:, None]) % period]
 
 

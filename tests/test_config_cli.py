@@ -219,6 +219,12 @@ class TestParsing:
         assert cfg["output"]["directory"] == "out dir"
         assert with_overrides(cfg, {})["output"]["directory"] == "out dir"  # via its text
 
+    def test_empty_edge_tokens_are_skipped(self):
+        # as in every list: a token that strips to nothing is no entry
+        cfg = resolve_config({"network": {"nodes": "3", "topology": "explicit",
+                                          "edges": "0-1, , 1-2"}})
+        assert cfg["network"]["edges"] == [(0, 1), (1, 2)]
+
     def test_with_overrides_rejects_bad_key(self):
         cfg = resolve_config(SMALL)
         with pytest.raises(ConfigError, match="section.key"):
@@ -417,6 +423,8 @@ class TestMain:
         ("network", {"nodes": "-1"}, "network: need at least 2 nodes"),
         ("network", {"combination_rows": "1, 0; 0"},
          "network.combination_rows: cannot parse '1, 0; 0' (rows differ in length)"),
+        ("output", {"plot_script": "maybe"},
+         "output.plot_script: cannot parse 'maybe' (not a boolean: 'maybe')"),
     ])
     def test_check_rejects_what_run_rejects(self, tmp_path, capsys, section,
                                             values, message):
@@ -455,8 +463,18 @@ class TestMain:
         for argv in (["check", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
             assert main(argv) == EXIT_VALIDATION
             err = capsys.readouterr().err
-            assert "configuration error" in err and str(path) in err
+            assert f"configuration error: cannot parse config file {path}" in err
             assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_default_section_is_named(self, tmp_path, capsys):
+        # configparser reads [DEFAULT] keys into every section, so it is refused
+        path = tmp_path / "c.ini"
+        path.write_text("[DEFAULT]\nnodes = 4\n[network]\ntopology = ring\n")
+        for argv in (["check", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+            assert main(argv) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert f"a [DEFAULT] section is not allowed (in {path})" in err
         assert not (tmp_path / "out").exists()
 
     def test_check_rejects_ephi_init(self, tmp_path, capsys):
@@ -540,6 +558,16 @@ class TestMain:
                      "--values", "4,8", "--out", str(out)]) == EXIT_OK
         assert (out / "experiment_period=4_trajectory.csv").exists()
         assert (out / "experiment_period=8_trajectory.csv").exists()
+
+    def test_sweep_strips_each_value(self, tmp_path):
+        # a value is stripped before it names the files, as it is parsed
+        path = tmp_path / "c.ini"
+        write_ini(path, TINY)
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(path), "--param", "signal.period",
+                     "--values", "4, 8 ", "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.glob("*.csv")) == [
+            "experiment_period=4_trajectory.csv", "experiment_period=8_trajectory.csv"]
 
     def test_sweep_metadata_names_its_files(self, tmp_path):
         # the echoed config carries the prefix the files were written

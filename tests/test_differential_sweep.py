@@ -199,6 +199,8 @@ def test_drawn_config(tmp_path, monkeypatch, capsys, case):
         return
 
     cfg = parse_config(path)
+    # run --out and every sweep value replay the config through its text
+    assert with_overrides(cfg, {}).values == cfg.values
     K, L = cfg["network"]["nodes"], cfg["signal"]["taps"]
     R, N = cfg["ensemble"]["runs"], cfg["ensemble"]["iterations"]
     monkeypatch.setattr(drlsnet.harness, "_default_chunk", lambda K, N, L: R)

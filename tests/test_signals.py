@@ -137,10 +137,18 @@ class TestSigmaAt:
         dict(kind="constant", level=-1.0),
         dict(kind="sinusoidal", period=8, level=1.0, mod_depth=1.0),
         dict(kind="triangular", period=4),
+        # the open ends of the duty cycle's (0, 1), and a sinusoid's level 0
+        dict(kind="pulsed", period=4, duty_cycle=0.0, v_low=0.1, v_high=2.0),
+        dict(kind="pulsed", period=4, duty_cycle=1.0, v_low=0.1, v_high=2.0),
+        dict(kind="sinusoidal", period=8, level=0.0, mod_depth=0.5),
     ])
     def test_bad_profiles_rejected(self, kwargs):
         with pytest.raises(ValueError):
             table_row(Profile(**kwargs))
+
+    def test_zero_mod_depth_is_a_constant_sinusoid(self):
+        row = table_row(Profile(kind="sinusoidal", period=8, level=1.5, mod_depth=0.0))
+        assert np.array_equal(row, np.full(8, 1.5))
 
 
 class TestColoredProcess:

@@ -98,6 +98,20 @@ class TestMeanError:
         out = mean_error_step(np.zeros((K, L)), transition_blocks(EPhi, EPhi), A, LAM)
         assert np.array_equal(out, np.zeros((K, L)))
 
+    def test_combines_by_a_transpose(self):
+        # ATC: w_k = sum_l a_{lk} psi_l, so the mean error mixes by
+        # cA = A^T (x) I_L; a non-symmetric A tells A^T from A
+        K, L = 3, 2
+        A = np.array([[0.5, 0.2, 0.0], [0.5, 0.3, 0.4], [0.0, 0.5, 0.6]])
+        rng = np.random.default_rng(3)
+        B, prev = rng.standard_normal((K, L, L)), rng.standard_normal((K, L))
+        blockdiag = np.zeros((K * L, K * L))
+        for k in range(K):
+            blockdiag[k * L:(k + 1) * L, k * L:(k + 1) * L] = B[k]
+        want = LAM * np.kron(A.T, np.eye(L)) @ blockdiag @ prev.ravel()
+        got = mean_error_step(prev, B, A, LAM)
+        assert np.allclose(got.ravel(), want, rtol=1e-13, atol=0)
+
     def test_scalar_hand_iteration(self):
         # K=1, L=1, constant input power r: hand-iterable recursion
         r, delta = 1.7, 0.01
@@ -275,6 +289,15 @@ class TestNetworkMsd:
         _, _, Kmat = initial_theory_state(3, 6, 0.01, w)
         assert network_msd(Kmat) == pytest.approx(1.0, abs=1e-12)
 
+    def test_initial_state_starts_from_zero_weights(self):
+        # w_0 = 0: every node's mean error is -w_star, every K_0 block is
+        # w_star w_star^T, and E{Phi_0} = delta I per node
+        w = make_ground_truth(4, 2)
+        EPhi, mean_err, Kmat = initial_theory_state(3, 4, 0.01, w)
+        assert np.array_equal(mean_err, np.tile(-w, (3, 1)))
+        assert np.array_equal(Kmat, np.broadcast_to(np.outer(w, w), (3, 3, 4, 4)))
+        assert np.array_equal(EPhi, np.broadcast_to(0.01 * np.eye(4), (3, 4, 4)))
+
 
 class TestTrajectory:
     def test_scalar_full_pipeline_matches_simple_loop(self):
@@ -384,10 +407,11 @@ class TestTrajectory:
             want = np.stack([input_covariance(p, params, n) for p in profs])
             assert np.array_equal(R[group], want), n
 
-    @pytest.mark.parametrize("scale, breaks", [(0.5, False), (2.0, True)])
+    @pytest.mark.parametrize("scale, breaks", [(0.5, False), (2.0, True), (1.0, False)])
     def test_negative_trace_tolerance(self, monkeypatch, scale, breaks):
-        # every K_n has tr/K = -scale * PSD_TOL: within the tolerance it is
-        # rounding noise and kept, beyond it the trajectory stops at n=1
+        # every K_n has tr/K = -scale * PSD_TOL: within the tolerance, its
+        # bound included, it is rounding noise and kept, beyond it the
+        # trajectory stops at n=1
         K, L = 3, 2
         A = build_combination_matrix(build_topology("ring", K)).A
 
