@@ -239,36 +239,3 @@ def compare_theory_empirical(traj: Trajectory) -> dict | None:
         "steady_mean_abs_db": float(steady.mean()),
         "steady_max_abs_db": float(steady.max()),
     }
-
-
-def _linear_detrend(seg: np.ndarray) -> np.ndarray:
-    """seg minus its least-squares line, fitted on the design [(1..S)/S, 1]
-    with seg as one column."""
-    S = seg.size
-    design = np.ones((S, 2))
-    design[:, 0] = np.arange(1, S + 1) / S
-    col = seg[:, None]
-    return (col - design @ np.linalg.lstsq(design, col, rcond=None)[0])[:, 0]
-
-
-def detect_periodicity(curve: np.ndarray, T: int) -> float:
-    """Fraction of steady-state fluctuation energy at period T and harmonics.
-
-    Looks at the second half of the curve, cut to a whole number of periods
-    (at least 3) so 1/T falls on an exact FFT bin, after a linear detrend
-    removes residual convergence drift.
-    """
-    curve = np.asarray(curve, dtype=float)
-    S = (curve.size // 2 // T) * T
-    if S < 3 * T:
-        raise ValueError(f"window must cover >= 3 periods of T={T}")
-    seg = _linear_detrend(curve[-S:])
-    spectrum = np.abs(np.fft.rfft(seg)) ** 2
-    total = spectrum[1:].sum()
-    # fluctuation at the level of float rounding is flat, not periodic
-    floor = 1e-20 * S * max(1.0, float(np.mean(curve[-S:] ** 2)))
-    if total <= floor:
-        return 0.0
-    k0 = S // T
-    harmonics = np.arange(k0, spectrum.size, k0)
-    return float(spectrum[harmonics].sum() / total)

@@ -27,8 +27,7 @@ import numpy as np
 from .signals import ColoredProcessParams, colored_autocorrelation
 
 
-# tr(K_n)/K may dip below zero by this much, relative to max(1, |tr(K_n)/K|),
-# before K_n counts as no longer positive semidefinite
+# K_n counts as not PSD once tr(K_n)/K < -PSD_TOL, an absolute tolerance
 PSD_TOL = 1e-9
 
 
@@ -114,8 +113,8 @@ def theoretical_trajectory(amplitude: np.ndarray,
     Returns (msd, mean_err_norm), each (N,): tr(K_n)/K and ||E{werr_n}||.
     `amplitude` is the (K, T) table of sigma_x: row k holds node k's
     sigma_x(n) for n = 0..T-1.  Raises TheoryError if an E{Phi_n} block
-    is singular, tr(K_n)/K or ||E{werr_n}|| is not finite, or K_n loses
-    positive semidefiniteness beyond PSD_TOL relative to its scale.
+    is singular, tr(K_n)/K or ||E{werr_n}|| is not finite, or tr(K_n)/K
+    falls below -PSD_TOL (an absolute tolerance).
     """
     K, L = A.shape[0], params.length
     if np.ndim(amplitude) != 2 or len(amplitude) != K:
@@ -144,7 +143,7 @@ def theoretical_trajectory(amplitude: np.ndarray,
         if not (np.isfinite(m) and np.isfinite(e)):
             raise TheoryError(f"theory recursions not finite at n={n}: tr/K={m:.3e}, "
                               f"||E{{werr}}||={e:.3e}")
-        if m < -PSD_TOL * max(1.0, abs(m)):
+        if m < -PSD_TOL:
             raise TheoryError(f"K_n lost positive semidefiniteness at n={n}: tr/K={m:.3e}")
         msd[n - 1] = m
         err_norm[n - 1] = e

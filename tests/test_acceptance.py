@@ -19,8 +19,7 @@ from drlsnet.cli import STEADY_TOL_DB, TRANSIENT_TOL_DB
 from drlsnet.config import parse_config, with_overrides
 from drlsnet.filters import (DrlsNetworkState, drls_iteration, init_state, rls_iteration,
                              update_inverse_correlation)
-from drlsnet.harness import (EnsembleSpec, compare_theory_empirical,
-                             detect_periodicity, run_ensemble, to_db)
+from drlsnet.harness import EnsembleSpec, compare_theory_empirical, run_ensemble, to_db
 from drlsnet.network import (build_combination_matrix, build_topology,
                              draw_noise_variances)
 from drlsnet.signals import (ColoredProcessParams, colored_autocorrelation,
@@ -29,6 +28,7 @@ from drlsnet.theory import (expected_phi_step, initial_theory_state,
                             k_matrix_step, mean_error_step, transition_blocks)
 from oracles import (Profile, amplitude_table, drls_mean_error_norm, input_covariance,
                      noise_term, sigma_at)
+from reproduce_full_scale import detect_periodicity
 
 K, L, LAM, DELTA, RHO = 10, 8, 0.995, 0.01, 0.8
 MASTER_SEED = 42
@@ -102,6 +102,34 @@ class TestCriterion1TheoryEmpiricalCoincidence:
         report(1, f"theory/empirical MSD, T={T}", ok,
                f"steady {dev['steady_mean_abs_db']:.3f} dB (tol {STEADY_TOL_DB:g}), "
                f"transient {dev['transient_mean_abs_db']:.3f} dB (tol {TRANSIENT_TOL_DB:g})")
+
+
+def run_config(cfg):
+    alg = cfg.values["algorithm"]
+    return run_ensemble(cfg.build_combiner(), cfg.noise_variances(), cfg.build_profiles(),
+                        cfg.process_params(), alg["forgetting_factor"], alg["delta"],
+                        cfg.ensemble_spec(), guard=alg["guard"])
+
+
+def test_criterion1_seeds_are_measured_not_gated():
+    # criterion 1's transient window at desk seeds 0-7, where the gate
+    # above holds seed 42 only: [50,500] needs only N >= 500 and no curve
+    # depends on N, so 600 iterations give a 3000-iteration run's window;
+    # the DRLS curve does not depend on RLS running beside it
+    base = parse_config(ROOT / "configs" / "desk_pulsed_T32.ini")
+    gaps = []
+    for seed in range(8):
+        cfg = with_overrides(base, {"ensemble.runs": "100", "ensemble.iterations": "600",
+                                    "ensemble.master_seed": str(seed),
+                                    "algorithm.algorithms": "drls"})
+        gaps.append(compare_theory_empirical(run_config(cfg))["transient_mean_abs_db"])
+    line = ("ACCEPTANCE 1 [transient gap by seed]: MEASURED, NOT GATED "
+            "(desk config, T=32, 100 runs x 600 iterations per seed: transient mean "
+            "|gap| over [50,500] at master_seed 0-7: "
+            f"{', '.join(f'{g:.2f}' for g in gaps)} dB; tol {TRANSIENT_TOL_DB:g} dB, "
+            "gated at seed 42 only, see ROADMAP Known defects)")
+    VERDICTS.append(line)
+    print("\n" + line)
 
 
 class TestCriterion2CooperationGain:
@@ -290,10 +318,7 @@ def test_criterion7_is_documented_not_gated():
     # transient window; the gaps are printed, not gated
     cfg = with_overrides(parse_config(ROOT / "configs" / "reproduction_T512.ini"),
                          {"ensemble.runs": "24", "ensemble.iterations": "600"})
-    traj = run_ensemble(cfg.build_combiner(), cfg.noise_variances(), cfg.build_profiles(),
-                        cfg.process_params(), cfg.values["algorithm"]["forgetting_factor"],
-                        cfg.values["algorithm"]["delta"], cfg.ensemble_spec(),
-                        guard=cfg.values["algorithm"]["guard"])
+    traj = run_config(cfg)
     gap = to_db(traj.msd_empirical["drls"]) - to_db(traj.msd_theory)
     windows = ", ".join(f"{gap[lo - 1:hi].mean():+.1f} on [{lo},{hi}]" for lo, hi in
                         ((1, 10), (10, 50), (50, 100), (100, 200), (200, 500)))

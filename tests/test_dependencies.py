@@ -2,7 +2,8 @@
 
 A fresh interpreter runs what a `drlsnet run` user pays for: the cli
 import, parsing and building the desk config, and a small experiment
-with its outputs; afterwards no scipy module may be loaded.
+with its outputs; then the periodicity detector of
+scripts/reproduce_full_scale.py; afterwards no scipy module may be loaded.
 """
 
 import os
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 import drlsnet.cli
 from drlsnet.config import parse_config, with_overrides
-from drlsnet.harness import detect_periodicity
+from reproduce_full_scale import detect_periodicity
 cfg = parse_config(sys.argv[1])
 cfg.build_combiner(); cfg.noise_variances(); cfg.build_profiles()
 cfg = with_overrides(cfg, {"ensemble.runs": "2", "ensemble.iterations": "20"})
@@ -31,7 +32,8 @@ def test_run_loads_no_scipy_module(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(ROOT / "configs" / "desk_pulsed_T32.ini"),
          str(tmp_path)],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            str(ROOT / d) for d in ("src", "scripts"))),
         capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

@@ -9,14 +9,14 @@ import pytest
 import drlsnet.cli
 import drlsnet.harness
 from drlsnet.harness import (EnsembleSpec, ExcludedRunThresholdError,
-                             compare_theory_empirical, detect_periodicity,
-                             run_ensemble, to_db)
+                             compare_theory_empirical, run_ensemble, to_db)
 from drlsnet.network import (CombinationMatrix, build_combination_matrix,
                              build_topology, draw_noise_variances)
 from drlsnet.signals import ColoredProcessParams
 from oracles import (Profile, amplitude_table, blas_combine, blas_step,
                      drls_mean_error_norm, ensemble_signals, every_step_trips,
                      independent_states_msd, linear_detrend)
+from reproduce_full_scale import _linear_detrend, detect_periodicity
 
 CONST = Profile(kind="constant", level=1.0)
 FAINT = amplitude_table(Profile(kind="constant", level=0.003), nodes=3)
@@ -618,6 +618,14 @@ class TestCompare:
             assert rep["steady_max_abs_db"] == pytest.approx(N / 1000, rel=1e-9)
 
 
+def centred_cosines(S, amplitudes):
+    """The sum of a * cos(2 pi k (n - c) / S) over {k: a}, n = 0..S-1, with c
+    the window's centre: each term is symmetric about c, so orthogonal to a
+    line and kept whole by the detrend, and its rfft is a * S / 2 in bin k."""
+    m = np.arange(S) - (S - 1) / 2
+    return sum(a * np.cos(2 * np.pi * k * m / S) for k, a in amplitudes.items())
+
+
 class TestDetectPeriodicity:
     def test_pure_sinusoid(self):
         n = np.arange(4096)
@@ -632,9 +640,11 @@ class TestDetectPeriodicity:
     def test_rounding_noise_far_from_unit_scale_scores_zero(self):
         # a flat curve at 1e6 with a few ulps of noise: its detrended energy
         # (~4e-15) is over an unscaled floor (~1e-18) but under the floor
-        # scaled by the curve's mean square (~1e-6), so it is not periodic
+        # scaled by the curve's mean square (~1e-6), so it is not periodic;
+        # at -1e6 too, as dB curves are negative
         z = np.random.default_rng(0).standard_normal(6 * 32)
-        assert detect_periodicity(1e6 * (1 + 1e-15 * z), 32) == 0.0
+        for level in (1e6, -1e6):
+            assert detect_periodicity(level * (1 + 1e-15 * z), 32) == 0.0
 
     def test_white_noise_scores_low(self):
         rng = np.random.default_rng(0)
@@ -642,14 +652,45 @@ class TestDetectPeriodicity:
         assert detect_periodicity(curve, 4) < 0.05
 
     def test_window_too_short(self):
+        # the window is 3 whole periods at the least: 6T samples give 3T,
+        # 6T - 1 only 2T
         with pytest.raises(ValueError):
             detect_periodicity(np.ones(100), 512)
+        assert detect_periodicity(np.ones(6 * 32), 32) == 0.0
+        with pytest.raises(ValueError, match="3 periods"):
+            detect_periodicity(np.ones(6 * 32 - 1), 32)
 
     def test_harmonics_counted(self):
         # square-ish wave: most energy in the fundamental plus odd harmonics
         n = np.arange(4096)
         curve = np.where((n % 64) < 32, 1.0, -1.0)
         assert detect_periodicity(curve, 64) > 0.95
+
+    def test_reads_the_last_whole_periods_of_the_second_half(self):
+        # 4T + 20 samples at 1e9 before 4T samples of faint ripple: the
+        # window is the last 4T samples, and its floor comes from them alone
+        T = 32
+        tail = 1 + 1e-3 * np.sin(2 * np.pi * np.arange(4 * T) / T)
+        curve = np.concatenate([np.full(4 * T + 20, 1e9), tail])
+        assert detect_periodicity(curve, T) == detect_periodicity(np.tile(tail, 2), T) > 0.95
+
+    def test_score_is_the_harmonic_share_of_the_detrended_energy(self):
+        # on a line, tones at bins 1, 8 and 16 of a 256-sample window, where
+        # at T=32 bins 8 and 16 are the harmonics; a list reads as an array
+        T, S = 32, 256
+        curve = np.zeros(2 * S)
+        curve[S:] = centred_cosines(S, {1: 2.0, 8: 1.0, 16: 0.5}) + 3 + 0.01 * np.arange(S)
+        assert detect_periodicity(curve, T) == pytest.approx(1.25 / 5.25, rel=1e-9)
+        assert detect_periodicity(curve.tolist(), T) == detect_periodicity(curve, T)
+
+    def test_floor_below_unit_mean_square_is_absolute(self):
+        # under a unit mean square the floor is 1e-20 * S: a harmonic tone
+        # holding 1.5 times that energy (a^2 S^2 / 4) scores, 0.5 times not
+        T, S = 32, 256
+        for ratio, score in ((1.5, 1.0), (0.5, 0.0)):
+            tone = centred_cosines(S, {S // T: np.sqrt(ratio * 4e-20 / S)})
+            assert detect_periodicity(np.concatenate([np.zeros(S), tone]), T) == \
+                pytest.approx(score, abs=1e-9)
 
     def test_detrend_matches_scipy(self):
         # random walks at scales 1e-5..1e5 with offsets, and dB curves that
@@ -663,8 +704,7 @@ class TestDetectPeriodicity:
             msd = to_db(np.exp(-n / rng.uniform(50, 500)) + 1e-3
                         * (1 + 0.5 * np.sin(2 * np.pi * n / 32)) + 1e-4 * rng.random(n.size))
             for seg in (walk, msd[-S:]):
-                assert np.array_equal(drlsnet.harness._linear_detrend(seg),
-                                      linear_detrend(seg))
+                assert np.array_equal(_linear_detrend(seg), linear_detrend(seg))
 
 
 def test_benchmark_tracer_records_both_filter_spans():

@@ -407,11 +407,13 @@ class TestTrajectory:
             want = np.stack([input_covariance(p, params, n) for p in profs])
             assert np.array_equal(R[group], want), n
 
-    @pytest.mark.parametrize("scale, breaks", [(0.5, False), (2.0, True), (1.0, False)])
+    @pytest.mark.parametrize("scale, breaks", [(0.5, False), (2.0, True), (1.0, False),
+                                               (2e9, True)])
     def test_negative_trace_tolerance(self, monkeypatch, scale, breaks):
         # every K_n has tr/K = -scale * PSD_TOL: within the tolerance, its
         # bound included, it is rounding noise and kept, beyond it the
-        # trajectory stops at n=1
+        # trajectory stops at n=1; the tolerance is absolute, not scaled by
+        # |tr/K|, so 2e9 (tr/K = -2) stops it too
         K, L = 3, 2
         A = build_combination_matrix(build_topology("ring", K)).A
 
