@@ -16,8 +16,9 @@ tolerance is asserted here -- the gating checks live in
 tests/test_acceptance.py at desk scale.
 
 Measured on a 2-core x86-64 host with one BLAS thread: one period takes
-50-52 s at --runs 3 (2.6 min for all three periods).  Use --runs to
-trade Monte Carlo noise for speed.
+26-27 s at --runs 3 (1.3 min for all three periods).  Use --runs to
+trade Monte Carlo noise for speed.  Every period's config is resolved
+before any runs, so a bad value writes nothing and exits 1.
 """
 
 import argparse
@@ -31,8 +32,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from drlsnet.cli import run_experiment  # noqa: E402
-from drlsnet.config import parse_config, with_overrides  # noqa: E402
+from drlsnet.cli import EXIT_VALIDATION, run_experiment  # noqa: E402
+from drlsnet.config import ConfigError, parse_config, with_overrides  # noqa: E402
 
 
 def _linear_detrend(seg: np.ndarray) -> np.ndarray:
@@ -87,15 +88,23 @@ def main(argv=None) -> int:
     ap.add_argument("--periods", default="4,32,512")
     args = ap.parse_args(argv)
 
-    base = parse_config(args.config)
-    for T in (int(t) for t in args.periods.split(",")):
-        overrides = {"signal.period": str(T),
-                     "output.prefix": f"{base['output']['prefix']}_T={T}",
-                     "output.directory": args.out}
-        if args.runs is not None:
-            overrides["ensemble.runs"] = str(args.runs)
-        cfg = with_overrides(base, overrides, source=f"{args.config} [period={T}]")
+    # resolve every period before running any, so a bad one writes nothing
+    try:
+        base = parse_config(args.config)
+        cfgs = []
+        for T in (t.strip() for t in args.periods.split(",")):
+            overrides = {"signal.period": T,
+                         "output.prefix": f"{base['output']['prefix']}_T={T}",
+                         "output.directory": args.out}
+            if args.runs is not None:
+                overrides["ensemble.runs"] = str(args.runs)
+            cfgs.append(with_overrides(base, overrides, source=f"{args.config} [period={T}]"))
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
+    for cfg in cfgs:
+        T = cfg["signal"]["period"]
         print(f"== period T={T} ==")
         started = time.perf_counter()
         run_experiment(cfg)

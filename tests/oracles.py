@@ -1,4 +1,5 @@
-"""Reference computations that the package does not need but the tests check it against.
+"""Reference computations that the package does not need but the tests check it against,
+and the config helpers the test files share.
 
 The scipy-based ones are the calls the package made before it depended
 on numpy alone; its own versions must match them bit for bit.
@@ -14,6 +15,7 @@ from scipy.sparse.csgraph import connected_components
 
 import drlsnet.harness
 from drlsnet.filters import init_state, update_inverse_correlation
+from drlsnet.harness import run_ensemble
 from drlsnet.signals import (colored_autocorrelation, generate_node_signals,
                              make_ground_truth)
 from drlsnet.theory import (expected_phi_step, initial_theory_state, mean_error_step,
@@ -62,6 +64,35 @@ def amplitude_table(*profiles, nodes: int = 1) -> np.ndarray:
     n = 0..T-1, or one profile's row repeated for `nodes` nodes."""
     rows = [sigma_at(p, np.arange(p.period)) for p in profiles]
     return np.stack(rows * nodes if len(rows) == 1 else rows)
+
+
+def node_profiles(cfg) -> list[Profile]:
+    """One Profile per node of a resolved config: its signal keys and the
+    node's phase, from `phases` or the shared `phase`."""
+    sig, K = cfg["signal"], cfg["network"]["nodes"]
+    phases = sig["phases"] if sig["phases"] is not None else [sig["phase"]] * K
+    return [Profile(kind=sig["profile"], period=sig["period"], duty_cycle=sig["duty_cycle"],
+                    v_low=sig["v_low"], v_high=sig["v_high"], level=sig["level"],
+                    mod_depth=sig["mod_depth"], phase=p) for p in phases]
+
+
+def write_ini(path, raw) -> None:
+    """Write a raw config (section -> key -> text) as a config file."""
+    lines = []
+    for section, kv in raw.items():
+        lines.append(f"[{section}]")
+        lines += [f"{k} = {v}" for k, v in kv.items()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def run_config(cfg, **kwargs):
+    """The trajectory `drlsnet run` computes for a resolved config, before it
+    writes anything; `kwargs` (include_theory) pass to run_ensemble."""
+    alg = cfg["algorithm"]
+    return run_ensemble(cfg.build_combiner(), cfg.noise_variances(), cfg.build_profiles(),
+                        cfg.process_params(), alg["forgetting_factor"], alg["delta"],
+                        cfg.ensemble_spec(), guard=alg["guard"],
+                        snapshot_every=cfg["output"]["snapshot_every"], **kwargs)
 
 
 def input_covariance(profile, params, n: int) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Acceptance suite: every release gate in one place, one line per criterion.
 
-Runs the desk-scale experiments (K=10 seeded geometric network, L=8,
-lambda=0.995, rho=0.8, pulsed amplitude profile) and checks the headline
-claims at their pinned tolerances.  Expensive trajectories are shared
-between criteria through module-scoped fixtures; the whole file finishes
-in a couple of minutes.  Criterion 7 (full-scale reproduction) is
-measured on the full-scale config's first 600 iterations and printed,
-not gated; scripts/reproduce_full_scale.py runs it in full.
+Criteria 1-4 run configs/desk_pulsed_T32.ini (K=10 seeded geometric
+network, L=8, lambda=0.995, rho=0.8, pulsed amplitude profile), as
+shipped or with a few overrides, and check the headline claims at their
+pinned tolerances.  Expensive trajectories are shared between criteria
+through module-scoped fixtures; the whole file finishes in about a
+minute.  Criterion 7 (full-scale reproduction) is measured on the
+full-scale config's first 600 iterations and printed, not gated;
+scripts/reproduce_full_scale.py runs it in full.
 """
 
 import dataclasses
@@ -19,20 +20,18 @@ from drlsnet.cli import STEADY_TOL_DB, TRANSIENT_TOL_DB
 from drlsnet.config import parse_config, with_overrides
 from drlsnet.filters import (DrlsNetworkState, drls_iteration, init_state, rls_iteration,
                              update_inverse_correlation)
-from drlsnet.harness import EnsembleSpec, compare_theory_empirical, run_ensemble, to_db
-from drlsnet.network import (build_combination_matrix, build_topology,
-                             draw_noise_variances)
+from drlsnet.harness import compare_theory_empirical, to_db
 from drlsnet.signals import (ColoredProcessParams, colored_autocorrelation,
                              generate_node_signals, make_ground_truth)
 from drlsnet.theory import (expected_phi_step, initial_theory_state,
                             k_matrix_step, mean_error_step, transition_blocks)
 from oracles import (Profile, amplitude_table, drls_mean_error_norm, input_covariance,
-                     noise_term, sigma_at)
+                     noise_term, run_config, sigma_at)
 from reproduce_full_scale import detect_periodicity
 
-K, L, LAM, DELTA, RHO = 10, 8, 0.995, 0.01, 0.8
-MASTER_SEED = 42
+LAM, DELTA, RHO = 0.995, 0.01, 0.8
 ROOT = Path(__file__).resolve().parent.parent
+DESK = parse_config(ROOT / "configs" / "desk_pulsed_T32.ini")
 
 
 VERDICTS: list[str] = []  # echoed by conftest in the terminal summary
@@ -50,30 +49,14 @@ def pulsed(T):
                    v_low=2e-3, v_high=2.0)
 
 
-@pytest.fixture(scope="module")
-def desk():
-    topo = build_topology("random_geometric", K, radius=0.45, seed=7)
-    return (build_combination_matrix(topo),
-            draw_noise_variances(K, 0.01, 0.1, 1234))
+def run_desk(overrides):
+    """The desk config's trajectory with `overrides` (dotted key -> text)."""
+    return run_config(with_overrides(DESK, overrides))
 
 
 @pytest.fixture(scope="module")
-def params():
-    return ColoredProcessParams(rho=RHO, length=L)
-
-
-def run_desk(desk, params, T, runs, iters, **kw):
-    comb, nv = desk
-    spec = EnsembleSpec(runs=runs, iterations=iters, master_seed=MASTER_SEED,
-                        algorithms=kw.pop("algorithms", ("rls", "drls")))
-    profile = pulsed(T) if T else Profile(kind="constant", level=1.0)
-    return run_ensemble(comb, nv, amplitude_table(profile, nodes=K),
-                        params, LAM, DELTA, spec, **kw)
-
-
-@pytest.fixture(scope="module")
-def traj_fast(desk, params):
-    return run_desk(desk, params, 4, 200, 6000)
+def traj_fast():
+    return run_desk({"signal.period": "4", "ensemble.iterations": "6000"})
 
 
 def first_iterations(traj, n):
@@ -86,8 +69,8 @@ def first_iterations(traj, n):
 
 
 @pytest.fixture(scope="module")
-def traj_T32(desk, params):
-    return run_desk(desk, params, 32, 200, 3000)
+def traj_T32():
+    return run_config(DESK)
 
 
 class TestCriterion1TheoryEmpiricalCoincidence:
@@ -104,25 +87,16 @@ class TestCriterion1TheoryEmpiricalCoincidence:
                f"transient {dev['transient_mean_abs_db']:.3f} dB (tol {TRANSIENT_TOL_DB:g})")
 
 
-def run_config(cfg):
-    alg = cfg.values["algorithm"]
-    return run_ensemble(cfg.build_combiner(), cfg.noise_variances(), cfg.build_profiles(),
-                        cfg.process_params(), alg["forgetting_factor"], alg["delta"],
-                        cfg.ensemble_spec(), guard=alg["guard"])
-
-
 def test_criterion1_seeds_are_measured_not_gated():
     # criterion 1's transient window at desk seeds 0-7, where the gate
     # above holds seed 42 only: [50,500] needs only N >= 500 and no curve
     # depends on N, so 600 iterations give a 3000-iteration run's window;
     # the DRLS curve does not depend on RLS running beside it
-    base = parse_config(ROOT / "configs" / "desk_pulsed_T32.ini")
     gaps = []
     for seed in range(8):
-        cfg = with_overrides(base, {"ensemble.runs": "100", "ensemble.iterations": "600",
-                                    "ensemble.master_seed": str(seed),
-                                    "algorithm.algorithms": "drls"})
-        gaps.append(compare_theory_empirical(run_config(cfg))["transient_mean_abs_db"])
+        traj = run_desk({"ensemble.runs": "100", "ensemble.iterations": "600",
+                         "ensemble.master_seed": str(seed), "algorithm.algorithms": "drls"})
+        gaps.append(compare_theory_empirical(traj)["transient_mean_abs_db"])
     line = ("ACCEPTANCE 1 [transient gap by seed]: MEASURED, NOT GATED "
             "(desk config, T=32, 100 runs x 600 iterations per seed: transient mean "
             "|gap| over [50,500] at master_seed 0-7: "
@@ -143,8 +117,8 @@ class TestCriterion2CooperationGain:
 
 
 @pytest.fixture(scope="module")
-def traj_slow(desk, params):
-    return run_desk(desk, params, 512, 200, 6000)
+def traj_slow():
+    return run_desk({"signal.period": "512", "ensemble.iterations": "6000"})
 
 
 class TestCriterion3SlowVariationPeriodicity:
@@ -166,16 +140,19 @@ class TestCriterion3SlowVariationPeriodicity:
 
 
 class TestCriterion4MeanConvergence:
-    def test_mean_error_decays(self, desk, params, monkeypatch):
-        traj, emp_norm = drls_mean_error_norm(
-            monkeypatch, lambda: run_desk(desk, params, None, 500, 5000,
-                                          algorithms=("drls",)), 5000)
+    def test_mean_error_decays(self, monkeypatch):
+        cfg = with_overrides(DESK, {"signal.profile": "constant", "ensemble.runs": "500",
+                                    "ensemble.iterations": "5000",
+                                    "algorithm.algorithms": "drls"})
+        K, R = cfg["network"]["nodes"], cfg["ensemble"]["runs"]
+        traj, emp_norm = drls_mean_error_norm(monkeypatch, lambda: run_config(cfg),
+                                              cfg["ensemble"]["iterations"])
         th_floor = traj.mean_err_norm_theory.min()
         n_hit = int(np.argmax(traj.mean_err_norm_theory < 1e-6)) + 1
         ok_th = th_floor < 1e-6
         # ensemble mean of R runs cannot fall below the Monte Carlo
         # noise floor sqrt(steady MSD * K / R); allow 3x that level
-        floor = 3 * np.sqrt(traj.msd_theory[-1] * K / 500)
+        floor = 3 * np.sqrt(traj.msd_theory[-1] * K / R)
         emp_tail = emp_norm[-500:].mean()
         ok_emp = emp_tail <= floor
         report(4, "mean convergence", ok_th and ok_emp,

@@ -1,6 +1,5 @@
 import ast
 import hashlib
-import importlib.util
 import json
 import re
 import shutil
@@ -10,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reproduce_full_scale
 from drlsnet import cli, harness, theory
 from drlsnet.cli import (CSV_COLUMNS, EXIT_ACCEPTANCE, EXIT_NUMERIC, EXIT_OK,
                          EXIT_VALIDATION, main, run_experiment)
 from drlsnet.config import (ConfigError, ExperimentConfig, config_to_text, parse_config,
                             resolve_config, with_overrides)
-from oracles import Profile, sigma_at
+from oracles import node_profiles, run_config, sigma_at, write_ini
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -78,14 +78,6 @@ def pinned_metadata(directory: Path) -> bytes:
     text = (directory / "experiment_metadata.json").read_text()
     text = re.sub(r'"runtime_s": [^,\n]+', '"runtime_s": 0', text)
     return text.replace(str(directory), "<out>").encode()
-
-
-def write_ini(path, raw):
-    lines = []
-    for section, kv in raw.items():
-        lines.append(f"[{section}]")
-        lines += [f"{k} = {v}" for k, v in kv.items()]
-    path.write_text("\n".join(lines) + "\n")
 
 
 class TestParsing:
@@ -190,18 +182,12 @@ class TestParsing:
     def test_amplitude_table_reads_sigma_at(self, signal):
         # row[n % T] is the oracle's sigma_x(n) exactly, before time 0 as
         # after it, and for a phase past one period
-        phases = (3, -2, 13)
         cfg = resolve_config({"network": {"nodes": "3", "topology": "ring"},
                               "signal": {**signal, "phases": "3, -2, 13"}})
-        sig = cfg["signal"]
         table = cfg.build_profiles()
         n = np.arange(-40, 5001)
-        for row, phase in zip(table, phases, strict=True):
-            profile = Profile(
-                kind=sig["profile"], period=sig["period"], duty_cycle=sig["duty_cycle"],
-                v_low=sig["v_low"], v_high=sig["v_high"], level=sig["level"],
-                mod_depth=sig["mod_depth"], phase=phase)
-            assert np.array_equal(row[n % sig["period"]], sigma_at(profile, n))
+        for row, profile in zip(table, node_profiles(cfg), strict=True):
+            assert np.array_equal(row[n % profile.period], sigma_at(profile, n))
 
     def test_with_overrides_keeps_explicit_edges_and_lists(self):
         cfg = resolve_config(EXPLICIT)
@@ -271,12 +257,8 @@ class TestRunExperiment:
             rows = list(csv.DictReader(fh))
         parsed = np.array([float(r["msd_drls_theory_db"]) for r in rows])
         # 12 significant digits survive the round trip at these magnitudes
-        from drlsnet.harness import run_ensemble, to_db
-        cfg = resolve_config(SMALL)
-        traj = run_ensemble(cfg.build_combiner(), cfg.noise_variances(),
-                            cfg.build_profiles(), cfg.process_params(),
-                            0.995, 0.01, cfg.ensemble_spec())
-        assert np.abs(parsed - to_db(traj.msd_theory)).max() < 1e-9
+        traj = run_config(resolve_config(SMALL))
+        assert np.abs(parsed - harness.to_db(traj.msd_theory)).max() < 1e-9
 
     def test_metadata_contents(self, outputs):
         meta = json.loads((outputs / "experiment_metadata.json").read_text())
@@ -696,21 +678,12 @@ class TestMain:
         assert (out / "experiment_period=4_trajectory.csv").exists()
 
 
-def load_reproduce_script():
-    spec = importlib.util.spec_from_file_location(
-        "reproduce_full_scale", ROOT / "scripts" / "reproduce_full_scale.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def test_reproduce_full_scale_script_explicit_edges(tmp_path, capsys):
     path = tmp_path / "c.ini"
     write_ini(path, EXPLICIT)
-    script = load_reproduce_script()
     out = tmp_path / "out"
-    assert script.main(["--config", str(path), "--out", str(out),
-                        "--runs", "1", "--periods", "4,8"]) == 0
+    assert reproduce_full_scale.main(["--config", str(path), "--out", str(out),
+                                      "--runs", "1", "--periods", "4,8"]) == 0
     for T in (4, 8):
         assert (out / f"experiment_T={T}_trajectory.csv").exists()
         meta = json.loads((out / f"experiment_T={T}_metadata.json").read_text())
@@ -726,11 +699,22 @@ def test_reproduce_full_scale_script_drls_only(tmp_path, capsys):
     # the summary covers the curves the CSV carries: no RLS level, no gain
     path = tmp_path / "c.ini"
     write_ini(path, {**EXPLICIT, "algorithm": {"algorithms": "drls"}})
-    assert load_reproduce_script().main(["--config", str(path), "--out", str(tmp_path / "out"),
-                                         "--periods", "4"]) == 0
+    assert reproduce_full_scale.main(["--config", str(path), "--out", str(tmp_path / "out"),
+                                      "--periods", "4"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"  steady-state MSD: drls [+-]\d+\.\d\d dB", lines[1])
     assert lines[2].startswith("  periodicity score at 1/4: ")
+
+
+def test_reproduce_full_scale_script_rejects_a_bad_period_before_running(tmp_path, capsys):
+    # every period resolves before any runs, so period 0 stops period 4 too
+    path = tmp_path / "c.ini"
+    write_ini(path, EXPLICIT)
+    assert reproduce_full_scale.main(["--config", str(path), "--out", str(tmp_path / "out"),
+                                      "--periods", "4,0"]) == EXIT_VALIDATION
+    assert list(tmp_path.rglob("*_T=4_*")) == []
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("configuration error: signal")
 
 
 @pytest.mark.parametrize("prefix", ['a"b', "a\\b", "a'b", 'x"""y', "ü", "experiment"])

@@ -28,9 +28,9 @@ import drlsnet.harness
 import drlsnet.theory
 from drlsnet.cli import EXIT_OK, EXIT_VALIDATION, main
 from drlsnet.config import parse_config, with_overrides
-from drlsnet.harness import run_ensemble
 from drlsnet.theory import PSD_TOL
-from oracles import Profile, dense_theory, independent_states_msd, per_node_theory
+from oracles import (dense_theory, independent_states_msd, node_profiles, per_node_theory,
+                     run_config, write_ini)
 
 SWEEP_SEED = 2008
 CASES = 30
@@ -132,30 +132,6 @@ def draw_config(case: int) -> dict[str, dict[str, str]]:
     return raw
 
 
-def write_ini(path, raw) -> None:
-    lines = []
-    for section, kv in raw.items():
-        lines.append(f"[{section}]")
-        lines += [f"{k} = {v}" for k, v in kv.items()]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def simulate(cfg, *, theory):
-    return run_ensemble(
-        cfg.build_combiner(), cfg.noise_variances(), cfg.build_profiles(),
-        cfg.process_params(), cfg["algorithm"]["forgetting_factor"],
-        cfg["algorithm"]["delta"], cfg.ensemble_spec(), guard=cfg["algorithm"]["guard"],
-        include_theory=theory, snapshot_every=cfg["output"]["snapshot_every"])
-
-
-def node_profiles(cfg) -> list[Profile]:
-    sig, K = cfg["signal"], cfg["network"]["nodes"]
-    phases = sig["phases"] if sig["phases"] is not None else [sig["phase"]] * K
-    return [Profile(kind=sig["profile"], period=sig["period"], duty_cycle=sig["duty_cycle"],
-                    v_low=sig["v_low"], v_high=sig["v_high"], level=sig["level"],
-                    mod_depth=sig["mod_depth"], phase=p) for p in phases]
-
-
 def assert_same_outputs(got, want) -> None:
     assert got.msd_empirical.keys() == want.msd_empirical.keys()
     for algo, curve in want.msd_empirical.items():
@@ -205,14 +181,14 @@ def test_drawn_config(tmp_path, monkeypatch, capsys, case):
     R, N = cfg["ensemble"]["runs"], cfg["ensemble"]["iterations"]
     monkeypatch.setattr(drlsnet.harness, "_default_chunk", lambda K, N, L: R)
     k_steps = spy_on_k_matrix_step(monkeypatch)
-    whole = simulate(cfg, theory=True)
+    whole = run_config(cfg)
     assert len(k_steps) == N
     monkeypatch.setattr(drlsnet.harness, "_default_chunk", lambda K, N, L: 1)
-    assert_same_outputs(simulate(cfg, theory=False), whole)
+    assert_same_outputs(run_config(cfg, include_theory=False), whole)
     monkeypatch.setattr(drlsnet.harness, "_default_chunk", lambda K, N, L: R)
     block = 1 + case % 4  # iterations per signal block
     monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", block * R * K * L)
-    assert_same_outputs(simulate(cfg, theory=False), whole)
+    assert_same_outputs(run_config(cfg, include_theory=False), whole)
 
     lam, delta = cfg["algorithm"]["forgetting_factor"], cfg["algorithm"]["delta"]
     assert not any(whole.excluded_runs.values())
@@ -234,6 +210,7 @@ def test_drawn_config(tmp_path, monkeypatch, capsys, case):
 
     # A = I: each node combines only its own estimate, so DRLS is RLS
     identity = "; ".join(_floats(row) for row in np.eye(K))
-    alone = simulate(with_overrides(cfg, {"network.combination_rows": identity,
-                                          "algorithm.algorithms": "rls, drls"}), theory=False)
+    alone = run_config(with_overrides(cfg, {"network.combination_rows": identity,
+                                            "algorithm.algorithms": "rls, drls"}),
+                       include_theory=False)
     assert np.array_equal(alone.msd_empirical["drls"], alone.msd_empirical["rls"])
