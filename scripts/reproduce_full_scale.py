@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Full-scale reproduction: 20 nodes, 32 taps, pulsed periods 4/32/512.
 
-Runs the configs/reproduction_T512.ini setup once per period and prints
-qualitative checks: the slow-period MSD curves fluctuate at 1/512, the
-moderate and fast periods do not disturb convergence, and diffusion
-outperforms non-cooperative RLS throughout.  The periodicity score is
+Runs `drlsnet sweep` over signal.period (`drlsnet.cli.sweep_configs`, so
+the same `<prefix>_period=<T>_*` files) and prints qualitative checks:
+the slow-period MSD curves fluctuate at 1/512, the moderate and fast
+periods do not disturb convergence, and diffusion outperforms
+non-cooperative RLS throughout.  The periodicity score is
 `detect_periodicity` below; tests/test_acceptance.py gates criterion 3
 with it.
 
@@ -32,8 +33,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from drlsnet.cli import EXIT_VALIDATION, run_experiment  # noqa: E402
-from drlsnet.config import ConfigError, parse_config, with_overrides  # noqa: E402
+from drlsnet.cli import EXIT_VALIDATION, run_experiment, sweep_configs  # noqa: E402
+from drlsnet.config import ConfigError, parse_config  # noqa: E402
 
 
 def _linear_detrend(seg: np.ndarray) -> np.ndarray:
@@ -88,17 +89,13 @@ def main(argv=None) -> int:
     ap.add_argument("--periods", default="4,32,512")
     args = ap.parse_args(argv)
 
-    # resolve every period before running any, so a bad one writes nothing
+    # `drlsnet sweep` over signal.period: every period resolves before any runs
+    out = {"output.directory": args.out}
+    if args.runs is not None:
+        out["ensemble.runs"] = str(args.runs)
     try:
-        base = parse_config(args.config)
-        cfgs = []
-        for T in (t.strip() for t in args.periods.split(",")):
-            overrides = {"signal.period": T,
-                         "output.prefix": f"{base['output']['prefix']}_T={T}",
-                         "output.directory": args.out}
-            if args.runs is not None:
-                overrides["ensemble.runs"] = str(args.runs)
-            cfgs.append(with_overrides(base, overrides, source=f"{args.config} [period={T}]"))
+        cfgs = sweep_configs(parse_config(args.config), "signal.period", args.periods,
+                             out, args.config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -50,6 +50,33 @@ def emit_csv(traj: Trajectory, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def run_config(cfg: ExperimentConfig) -> Trajectory:
+    """The trajectory `drlsnet run` computes for a resolved config, before it
+    writes anything."""
+    alg = cfg["algorithm"]
+    return run_ensemble(cfg.build_combiner(), cfg.noise_variances(), cfg.build_profiles(),
+                        cfg.process_params(), alg["forgetting_factor"], alg["delta"],
+                        cfg.ensemble_spec(), guard=alg["guard"],
+                        snapshot_every=cfg["output"]["snapshot_every"])
+
+
+def sweep_configs(cfg: ExperimentConfig, param: str, values: str, out: dict,
+                  source: str) -> list[ExperimentConfig]:
+    """One resolved config per comma-separated value of the dotted key
+    `param`, prefixed `<prefix>_<key>=<value>`, with the `out` overrides
+    applied last.  Every value is resolved before the caller runs any, so a
+    bad one raises ConfigError and writes nothing."""
+    cfgs = []
+    for value in values.split(","):
+        value = value.strip()
+        label = f"{source} [{param}={value}]"
+        swept = with_overrides(cfg, {param: value}, source=label)
+        # read after the swept value, which may be the prefix itself
+        prefix = f"{swept['output']['prefix']}_{param.split('.')[-1]}={value}"
+        cfgs.append(with_overrides(swept, {"output.prefix": prefix, **out}, source=label))
+    return cfgs
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None, *,
                    check_acceptance: bool = False) -> int:
     """Execute one experiment and write trajectory CSV + metadata JSON."""
@@ -57,16 +84,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, *,
     directory = Path(out_dir) if out_dir is not None else Path(out["directory"])
     directory.mkdir(parents=True, exist_ok=True)
     prefix = out["prefix"]
-    spec = cfg.ensemble_spec()
+    ensemble = cfg.values["ensemble"]
 
     started = time.perf_counter()
-    traj = run_ensemble(
-        cfg.build_combiner(), cfg.noise_variances(), cfg.build_profiles(),
-        cfg.process_params(), cfg.values["algorithm"]["forgetting_factor"],
-        cfg.values["algorithm"]["delta"], spec,
-        guard=cfg.values["algorithm"]["guard"],
-        snapshot_every=out["snapshot_every"],
-    )
+    traj = run_config(cfg)
     runtime = time.perf_counter() - started
 
     csv_path = directory / f"{prefix}_trajectory.csv"
@@ -77,9 +98,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, *,
         "version": __version__,
         "resolved_config": cfg.values,
         "resolved_config_text": config_to_text(cfg),
-        "master_seed": spec.master_seed,
+        "master_seed": ensemble["master_seed"],
         "runtime_s": runtime,
-        "runs_effective": {a: spec.runs - len(v) for a, v in traj.excluded_runs.items()},
+        "runs_effective": {a: ensemble["runs"] - len(v)
+                           for a, v in traj.excluded_runs.items()},
         "excluded_runs": {a: [list(t) for t in v]
                           for a, v in traj.excluded_runs.items()},
         "deviation_report_db": report,
@@ -185,17 +207,7 @@ def main(argv=None) -> int:
             if out:
                 cfg = with_overrides(cfg, out, source=args.config)
             return run_experiment(cfg, check_acceptance=args.check_acceptance)
-        # sweep: resolve every value before running any, so a bad one writes nothing
-        cfgs = []
-        for value in args.values.split(","):
-            value = value.strip()
-            source = f"{args.config} [{args.param}={value}]"
-            swept = with_overrides(cfg, {args.param: value}, source=source)
-            # read after the swept value, which may be the prefix itself
-            prefix = f"{swept['output']['prefix']}_{args.param.split('.')[-1]}={value}"
-            cfgs.append(with_overrides(swept, {"output.prefix": prefix, **out},
-                                       source=source))
-        for swept in cfgs:
+        for swept in sweep_configs(cfg, args.param, args.values, out, args.config):
             run_experiment(swept)
         return EXIT_OK
     except ConfigError as exc:

@@ -9,7 +9,12 @@ from blas_kernel import blas_summary
 
 # the id of the test during which the process's peak RSS last rose
 PEAK_SET_BY = pytest.StashKey[str]()
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "drlsnet"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _lines(directory: Path) -> int:
+    """The total `wc -l <directory>/*.py` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in directory.glob("*.py"))
 
 
 def _peak_rss_mb() -> float:
@@ -31,14 +36,15 @@ def pytest_runtest_protocol(item):
 
 def pytest_terminal_summary(terminalreporter):
     """Name the BLAS kernel the pinned digests ran on, the session's peak
-    RSS and the test that set it, and the package's size in lines (as
-    `wc -l src/drlsnet/*.py` totals them), then echo the one-line
-    acceptance verdicts after the test summary."""
+    RSS and the test that set it, and the size in lines of the package,
+    the tests and the scripts (as `wc -l <dir>/*.py` totals them), then
+    echo the one-line acceptance verdicts after the test summary."""
     terminalreporter.write_line(f"numpy {np.__version__}, BLAS {blas_summary()}")
     set_by = terminalreporter.config.stash.get(PEAK_SET_BY, "collection, before any test")
     terminalreporter.write_line(f"peak RSS {_peak_rss_mb():.0f} MB, set by {set_by}")
-    lines = sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))
-    terminalreporter.write_line(f"src/drlsnet {lines} lines")
+    terminalreporter.write_line(f"src/drlsnet {_lines(ROOT / 'src' / 'drlsnet')} lines")
+    terminalreporter.write_line(f"tests {_lines(ROOT / 'tests')} lines, "
+                                f"scripts {_lines(ROOT / 'scripts')} lines")
     mod = next((m for name, m in sys.modules.items()
                 if name.rpartition(".")[2] == "test_acceptance"), None)
     if mod is not None and getattr(mod, "VERDICTS", None):

@@ -15,7 +15,6 @@ from scipy.sparse.csgraph import connected_components
 
 import drlsnet.harness
 from drlsnet.filters import init_state, update_inverse_correlation
-from drlsnet.harness import run_ensemble
 from drlsnet.signals import (colored_autocorrelation, generate_node_signals,
                              make_ground_truth)
 from drlsnet.theory import (expected_phi_step, initial_theory_state, mean_error_step,
@@ -83,16 +82,6 @@ def write_ini(path, raw) -> None:
         lines.append(f"[{section}]")
         lines += [f"{k} = {v}" for k, v in kv.items()]
     path.write_text("\n".join(lines) + "\n")
-
-
-def run_config(cfg, **kwargs):
-    """The trajectory `drlsnet run` computes for a resolved config, before it
-    writes anything; `kwargs` (include_theory) pass to run_ensemble."""
-    alg = cfg["algorithm"]
-    return run_ensemble(cfg.build_combiner(), cfg.noise_variances(), cfg.build_profiles(),
-                        cfg.process_params(), alg["forgetting_factor"], alg["delta"],
-                        cfg.ensemble_spec(), guard=alg["guard"],
-                        snapshot_every=cfg["output"]["snapshot_every"], **kwargs)
 
 
 def input_covariance(profile, params, n: int) -> np.ndarray:
@@ -189,7 +178,7 @@ def blas_combine(A, psi):
 
 
 def ensemble_signals(comb, nv, amplitude, params, spec):
-    """(w_star, X, d) for every run, drawn through run_ensemble's seed layout
+    """(w_star, X, d) for every run, drawn through the harness's seed layout
     in one block per node-run: X of shape (N, R, K, L), d of shape (N, R, K)."""
     K, L, N, R = comb.A.shape[0], params.length, spec.iterations, spec.runs
     children = np.random.SeedSequence(spec.master_seed).spawn(1 + R)
@@ -208,7 +197,7 @@ def ensemble_signals(comb, nv, amplitude, params, spec):
 
 def drls_mean_error_norm(monkeypatch, simulate, N):
     """(trajectory, ||mean_r w_{k,n} - w_star|| per iteration) for the DRLS
-    ensemble of `simulate()`, a run_ensemble call over N iterations.
+    ensemble of `simulate()`, one harness ensemble over N iterations.
 
     harness.drls_iteration is wrapped by name, since the harness looks
     its iterations up once per chunk, and each step's estimates, summed
@@ -239,10 +228,10 @@ def independent_states_msd(comb, nv, amplitude, params, lam, delta, spec,
                            step=blas_step, mix=blas_combine, skip=()):
     """MSD curves from a loop that gives every algorithm its own P.
 
-    Draws the signals through run_ensemble's seed layout and reduces in
+    Draws the signals through the harness's seed layout and reduces in
     run order, leaving out the runs in `skip`.  With the default step and
     combine, the package's arithmetic, the curves must equal
-    run_ensemble's bit for bit.
+    the harness's bit for bit.
     """
     A = comb.A
     K, L, N, R = A.shape[0], params.length, spec.iterations, spec.runs

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drlsnet.cli import STEADY_TOL_DB, TRANSIENT_TOL_DB
+from drlsnet.cli import STEADY_TOL_DB, TRANSIENT_TOL_DB, run_config
 from drlsnet.config import parse_config, with_overrides
 from drlsnet.filters import (DrlsNetworkState, drls_iteration, init_state, rls_iteration,
                              update_inverse_correlation)
@@ -26,7 +26,7 @@ from drlsnet.signals import (ColoredProcessParams, colored_autocorrelation,
 from drlsnet.theory import (expected_phi_step, initial_theory_state,
                             k_matrix_step, mean_error_step, transition_blocks)
 from oracles import (Profile, amplitude_table, drls_mean_error_norm, input_covariance,
-                     noise_term, run_config, sigma_at)
+                     noise_term, sigma_at)
 from reproduce_full_scale import detect_periodicity
 
 LAM, DELTA, RHO = 0.995, 0.01, 0.8

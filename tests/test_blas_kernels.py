@@ -31,18 +31,14 @@ CHILD = """\
 import sys
 import numpy as np
 from blas_kernel import openblas_core
+from drlsnet.cli import run_config
 from drlsnet.config import parse_config, with_overrides
-from drlsnet.harness import run_ensemble
 config, want, out = sys.argv[1:]
 core = openblas_core()
 if want and core != want:
     raise SystemExit(f"asked for core {want}, OpenBLAS runs {core}")
-cfg = with_overrides(parse_config(config),
-                     {"ensemble.runs": "20", "ensemble.iterations": "1000"})
-alg = cfg["algorithm"]
-traj = run_ensemble(cfg.build_combiner(), cfg.noise_variances(), cfg.build_profiles(),
-                    cfg.process_params(), alg["forgetting_factor"], alg["delta"],
-                    cfg.ensemble_spec(), guard=alg["guard"])
+traj = run_config(with_overrides(parse_config(config),
+                                 {"ensemble.runs": "20", "ensemble.iterations": "1000"}))
 np.savez(out, core=core, msd_theory=traj.msd_theory,
          mean_err_norm_theory=traj.mean_err_norm_theory,
          **{f"msd_{a}_empirical": c for a, c in traj.msd_empirical.items()})

@@ -12,10 +12,10 @@ import pytest
 import reproduce_full_scale
 from drlsnet import cli, harness, theory
 from drlsnet.cli import (CSV_COLUMNS, EXIT_ACCEPTANCE, EXIT_NUMERIC, EXIT_OK,
-                         EXIT_VALIDATION, main, run_experiment)
+                         EXIT_VALIDATION, main, run_config, run_experiment)
 from drlsnet.config import (ConfigError, ExperimentConfig, config_to_text, parse_config,
                             resolve_config, with_overrides)
-from oracles import node_profiles, run_config, sigma_at, write_ini
+from oracles import node_profiles, sigma_at, write_ini
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -73,9 +73,9 @@ METADATA_SHA256 = {
 PLOT_SHA256 = "258aeb853f5415d01b92c9eacdcb816ae1b29ca69b2b0af3a6a84557a536ce2a"
 
 
-def pinned_metadata(directory: Path) -> bytes:
+def pinned_metadata(directory: Path, prefix: str = "experiment") -> bytes:
     """The metadata JSON with its two run-dependent parts made constant."""
-    text = (directory / "experiment_metadata.json").read_text()
+    text = (directory / f"{prefix}_metadata.json").read_text()
     text = re.sub(r'"runtime_s": [^,\n]+', '"runtime_s": 0', text)
     return text.replace(str(directory), "<out>").encode()
 
@@ -685,14 +685,31 @@ def test_reproduce_full_scale_script_explicit_edges(tmp_path, capsys):
     assert reproduce_full_scale.main(["--config", str(path), "--out", str(out),
                                       "--runs", "1", "--periods", "4,8"]) == 0
     for T in (4, 8):
-        assert (out / f"experiment_T={T}_trajectory.csv").exists()
-        meta = json.loads((out / f"experiment_T={T}_metadata.json").read_text())
-        assert meta["resolved_config"]["output"]["prefix"] == f"experiment_T={T}"
+        assert (out / f"experiment_period={T}_trajectory.csv").exists()
+        meta = json.loads((out / f"experiment_period={T}_metadata.json").read_text())
+        assert meta["resolved_config"]["output"]["prefix"] == f"experiment_period={T}"
     printed = capsys.readouterr().out
     assert "== period T=8 ==" in printed
     # each period's line carries its elapsed time and the peak memory so far
     assert len(re.findall(r"^  outputs under .+/, \d+ s, peak memory \d+ MB$",
                           printed, re.MULTILINE)) == 2
+
+
+def test_reproduce_full_scale_script_writes_what_sweep_writes(tmp_path, capsys):
+    # the script is `drlsnet sweep --param signal.period` plus a printed report
+    path = tmp_path / "c.ini"
+    write_ini(path, EXPLICIT)
+    script, sweep = tmp_path / "script", tmp_path / "sweep"
+    assert reproduce_full_scale.main(["--config", str(path), "--out", str(script),
+                                      "--periods", "4,8"]) == 0
+    assert main(["sweep", str(path), "--param", "signal.period", "--values", "4,8",
+                 "--out", str(sweep)]) == EXIT_OK
+    assert sorted(p.name for p in script.iterdir()) == sorted(p.name for p in sweep.iterdir())
+    for T in (4, 8):
+        prefix = f"experiment_period={T}"
+        csv_name = f"{prefix}_trajectory.csv"
+        assert (script / csv_name).read_bytes() == (sweep / csv_name).read_bytes()
+        assert pinned_metadata(script, prefix) == pinned_metadata(sweep, prefix)
 
 
 def test_reproduce_full_scale_script_drls_only(tmp_path, capsys):
@@ -712,7 +729,7 @@ def test_reproduce_full_scale_script_rejects_a_bad_period_before_running(tmp_pat
     write_ini(path, EXPLICIT)
     assert reproduce_full_scale.main(["--config", str(path), "--out", str(tmp_path / "out"),
                                       "--periods", "4,0"]) == EXIT_VALIDATION
-    assert list(tmp_path.rglob("*_T=4_*")) == []
+    assert list(tmp_path.rglob("*_period=4_*")) == []
     printed = capsys.readouterr()
     assert printed.out == "" and printed.err.startswith("configuration error: signal")
 

@@ -26,11 +26,10 @@ import pytest
 
 import drlsnet.harness
 import drlsnet.theory
-from drlsnet.cli import EXIT_OK, EXIT_VALIDATION, main
+from drlsnet.cli import EXIT_OK, EXIT_VALIDATION, main, run_config
 from drlsnet.config import parse_config, with_overrides
 from drlsnet.theory import PSD_TOL
-from oracles import (dense_theory, independent_states_msd, node_profiles, per_node_theory,
-                     run_config, write_ini)
+from oracles import dense_theory, independent_states_msd, node_profiles, per_node_theory, write_ini
 
 SWEEP_SEED = 2008
 CASES = 30
@@ -184,11 +183,11 @@ def test_drawn_config(tmp_path, monkeypatch, capsys, case):
     whole = run_config(cfg)
     assert len(k_steps) == N
     monkeypatch.setattr(drlsnet.harness, "_default_chunk", lambda K, N, L: 1)
-    assert_same_outputs(run_config(cfg, include_theory=False), whole)
+    assert_same_outputs(run_config(cfg), whole)
     monkeypatch.setattr(drlsnet.harness, "_default_chunk", lambda K, N, L: R)
     block = 1 + case % 4  # iterations per signal block
     monkeypatch.setattr(drlsnet.harness, "_SIGNAL_BLOCK", block * R * K * L)
-    assert_same_outputs(run_config(cfg, include_theory=False), whole)
+    assert_same_outputs(run_config(cfg), whole)
 
     lam, delta = cfg["algorithm"]["forgetting_factor"], cfg["algorithm"]["delta"]
     assert not any(whole.excluded_runs.values())
@@ -211,6 +210,5 @@ def test_drawn_config(tmp_path, monkeypatch, capsys, case):
     # A = I: each node combines only its own estimate, so DRLS is RLS
     identity = "; ".join(_floats(row) for row in np.eye(K))
     alone = run_config(with_overrides(cfg, {"network.combination_rows": identity,
-                                            "algorithm.algorithms": "rls, drls"}),
-                       include_theory=False)
+                                            "algorithm.algorithms": "rls, drls"}))
     assert np.array_equal(alone.msd_empirical["drls"], alone.msd_empirical["rls"])

@@ -167,18 +167,6 @@ def make_node_data(K, L, N, sigma_z, seed, period=1, kind="constant"):
 
 
 class TestIterations:
-    def test_identity_network_equals_independent_rls(self):
-        K, L, N = 4, 3, 1000
-        X, d, _ = make_node_data(K, L, N, 0.1, seed=5)
-        net = DrlsNetworkState(init_state(L, 0.01, (K,)), np.eye(K))
-        rls_states = [init_state(L, 0.01) for _ in range(K)]
-        for n in range(N):
-            drls_step(net, X[:, n, :], d[:, n], LAM)
-            for k in range(K):
-                rls_step(rls_states[k], X[k, n], d[k, n], LAM)
-        for k in range(K):
-            assert np.abs(net.nodes.w[k] - rls_states[k].w).max() < 1e-12
-
     def test_noiseless_network_convergence(self):
         K, L, N = 5, 8, 1000
         X, d, w_star = make_node_data(K, L, N, 0.0, seed=6)

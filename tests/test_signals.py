@@ -160,18 +160,6 @@ class TestColoredProcess:
         ref = np.random.default_rng(0).standard_normal(20_001)[1:]
         assert np.array_equal(samples, ref)  # rho=0 passes innovations through
 
-    def test_variance_and_lag1_autocorrelation(self):
-        # law-of-large-numbers oracle on the batch generator
-        params = ColoredProcessParams(rho=0.8, length=2)
-        w_star = make_ground_truth(2, 0)
-        rng = np.random.default_rng(1)
-        X, _, _ = generate_node_signals(UNIT, params, w_star, 0.0, 1_000_000,
-                                        rng, np.random.default_rng(2))
-        u = X[:, 0]
-        assert u.var() == pytest.approx(1.0, rel=0.01)
-        lag1 = np.mean(u[1:] * u[:-1])
-        assert lag1 == pytest.approx(0.8, rel=0.01)
-
     def test_stateful_variance(self):
         params = ColoredProcessParams(rho=0.8, length=1)
         rng = np.random.default_rng(3)
@@ -222,16 +210,6 @@ class TestAutocorrelation:
     def test_rho08_L2(self):
         R = colored_autocorrelation(ColoredProcessParams(rho=0.8, length=2))
         assert np.allclose(R, [[1.0, 0.8], [0.8, 1.0]])
-
-    def test_monte_carlo_covariance(self):
-        params = ColoredProcessParams(rho=0.8, length=4)
-        w_star = make_ground_truth(4, 0)
-        X, _, _ = generate_node_signals(UNIT, params, w_star, 0.0, 1_000_000,
-                                        np.random.default_rng(7),
-                                        np.random.default_rng(8))
-        sample_cov = X.T @ X / X.shape[0]
-        R = colored_autocorrelation(params)
-        assert np.abs(sample_cov - R).max() < 0.02
 
     def test_matches_toeplitz(self):
         for rho in (0.0, 0.3, 0.8, 0.99):

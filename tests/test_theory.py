@@ -7,7 +7,7 @@ import pytest
 from drlsnet import theory
 from drlsnet.config import parse_config
 from drlsnet.network import build_combination_matrix, build_topology
-from drlsnet.signals import ColoredProcessParams, generate_node_signals, make_ground_truth
+from drlsnet.signals import ColoredProcessParams, make_ground_truth
 from drlsnet.theory import (TheoryError, expected_phi_step,
                             initial_theory_state, k_matrix_step,
                             mean_error_step, network_msd,
@@ -64,30 +64,6 @@ class TestExpectedPhi:
         assert out.shape == (K, L, L)
         for k in range(K):
             assert np.allclose(out[k], LAM * 0.01 * np.eye(L) + R[k])
-
-    def test_matches_monte_carlo_phi_mean(self):
-        # E{Phi_n} vs sample mean of the simulated shadow recursion
-        params = ColoredProcessParams(rho=0.8, length=2)
-        w_star = make_ground_truth(2, 0)
-        runs, n_check = 2000, 100
-        acc = np.zeros((2, 2))
-        for r, ss in enumerate(np.random.SeedSequence(77).spawn(runs)):
-            su, sz = ss.spawn(2)
-            X, _, _ = generate_node_signals(amplitude_table(PULSED4)[0], params, w_star,
-                                            0.0, n_check,
-                                            np.random.default_rng(su),
-                                            np.random.default_rng(sz))
-            Phi = 0.01 * np.eye(2)
-            for n in range(n_check):
-                Phi = LAM * Phi + np.outer(X[n], X[n])
-            acc += Phi
-        acc /= runs
-        EPhi = np.array([0.01 * np.eye(2)])
-        for n in range(1, n_check + 1):
-            EPhi = expected_phi_step(
-                EPhi, input_covariance(PULSED4, params, n)[None], LAM)
-        dev = np.linalg.norm(acc - EPhi[0]) / np.linalg.norm(EPhi[0])
-        assert dev < 0.03
 
 
 class TestMeanError:
