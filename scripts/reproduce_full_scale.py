@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Full-scale reproduction: 20 nodes, 32 taps, pulsed periods 4/32/512.
 
-Runs `drlsnet sweep` over signal.period (`drlsnet.cli.sweep_configs`, so
-the same `<prefix>_period=<T>_*` files) and prints qualitative checks:
+Runs `drlsnet sweep --out` over signal.period (`drlsnet.cli.sweep_configs`,
+then `run_experiment(cfg, out)` per period, so the same
+`<prefix>_period=<T>_*` files) and prints qualitative checks:
 the slow-period MSD curves fluctuate at 1/512, the moderate and fast
 periods do not disturb convergence, and diffusion outperforms
 non-cooperative RLS throughout.  The periodicity score is
@@ -34,7 +35,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from drlsnet.cli import EXIT_VALIDATION, run_experiment, sweep_configs  # noqa: E402
-from drlsnet.config import ConfigError, parse_config  # noqa: E402
+from drlsnet.config import ConfigError, parse_config, with_overrides  # noqa: E402
 
 
 def _linear_detrend(seg: np.ndarray) -> np.ndarray:
@@ -90,24 +91,23 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     # `drlsnet sweep` over signal.period: every period resolves before any runs
-    out = {"output.directory": args.out}
-    if args.runs is not None:
-        out["ensemble.runs"] = str(args.runs)
     try:
-        cfgs = sweep_configs(parse_config(args.config), "signal.period", args.periods,
-                             out, args.config)
+        cfg = parse_config(args.config)
+        if args.runs is not None:
+            cfg = with_overrides(cfg, {"ensemble.runs": str(args.runs)}, source=args.config)
+        cfgs = sweep_configs(cfg, "signal.period", args.periods, args.config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    directory = args.out.strip()  # as output.directory, a config value, is stripped
     for cfg in cfgs:
         T = cfg["signal"]["period"]
         print(f"== period T={T} ==")
         started = time.perf_counter()
-        run_experiment(cfg)
+        run_experiment(cfg, directory)
         elapsed = time.perf_counter() - started
 
-        directory = cfg["output"]["directory"]
         curves = read_curves(Path(directory) / f"{cfg['output']['prefix']}_trajectory.csv")
         steady = {algo: curve[-500:].mean() for algo, curve in curves.items()}
         if steady:

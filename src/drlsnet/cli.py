@@ -60,12 +60,12 @@ def run_config(cfg: ExperimentConfig) -> Trajectory:
                         snapshot_every=cfg["output"]["snapshot_every"])
 
 
-def sweep_configs(cfg: ExperimentConfig, param: str, values: str, out: dict,
+def sweep_configs(cfg: ExperimentConfig, param: str, values: str,
                   source: str) -> list[ExperimentConfig]:
     """One resolved config per comma-separated value of the dotted key
-    `param`, prefixed `<prefix>_<key>=<value>`, with the `out` overrides
-    applied last.  Every value is resolved before the caller runs any, so a
-    bad one raises ConfigError and writes nothing."""
+    `param`, prefixed `<prefix>_<key>=<value>`.  Every value is resolved
+    before the caller runs any, so a bad one raises ConfigError and writes
+    nothing."""
     cfgs = []
     for value in values.split(","):
         value = value.strip()
@@ -73,15 +73,18 @@ def sweep_configs(cfg: ExperimentConfig, param: str, values: str, out: dict,
         swept = with_overrides(cfg, {param: value}, source=label)
         # read after the swept value, which may be the prefix itself
         prefix = f"{swept['output']['prefix']}_{param.split('.')[-1]}={value}"
-        cfgs.append(with_overrides(swept, {"output.prefix": prefix, **out}, source=label))
+        cfgs.append(with_overrides(swept, {"output.prefix": prefix}, source=label))
     return cfgs
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, *,
                    check_acceptance: bool = False) -> int:
-    """Execute one experiment and write trajectory CSV + metadata JSON."""
+    """Execute one experiment and write trajectory CSV + metadata JSON under
+    output.directory; `out_dir` overrides it, as `--out` does."""
+    if out_dir is not None:
+        cfg = with_overrides(cfg, {"output.directory": str(out_dir)})
     out = cfg.values["output"]
-    directory = Path(out_dir) if out_dir is not None else Path(out["directory"])
+    directory = Path(out["directory"])
     directory.mkdir(parents=True, exist_ok=True)
     prefix = out["prefix"]
     ensemble = cfg.values["ensemble"]
@@ -201,14 +204,10 @@ def main(argv=None) -> int:
         if args.command == "check":
             print(config_to_text(cfg))
             return EXIT_OK
-        # --out overrides output.directory, so the metadata echoes where the files are
-        out = {} if args.out is None else {"output.directory": args.out}
         if args.command == "run":
-            if out:
-                cfg = with_overrides(cfg, out, source=args.config)
-            return run_experiment(cfg, check_acceptance=args.check_acceptance)
-        for swept in sweep_configs(cfg, args.param, args.values, out, args.config):
-            run_experiment(swept)
+            return run_experiment(cfg, args.out, check_acceptance=args.check_acceptance)
+        for swept in sweep_configs(cfg, args.param, args.values, args.config):
+            run_experiment(swept, args.out)
         return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -184,6 +184,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     build("network", cfg.noise_variances)
     build("signal", cfg.build_profiles)
     build("signal", cfg.process_params)
+    # the spec's own name check, on the one key it reads from [algorithm]
+    build("algorithm.algorithms", lambda: EnsembleSpec(1, 1, 0, tuple(alg["algorithms"])))
     build("ensemble", cfg.ensemble_spec)
 
     # no object owns these: lam and delta enter the recursions unchecked,

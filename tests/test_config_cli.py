@@ -64,8 +64,8 @@ CSV_SHA256 = {
 # output directory replaced (see pinned_metadata): every other value, the
 # deviation report and the excluded-run record among them, is pinned too
 METADATA_SHA256 = {
-    "small": "fb0fccd915adbd1582db86d027f42bbd38717f051f19d57f0cf5f0a1db4632a7",
-    "wavy": "ea49d518d99d18aeaa5dd6ba2986bf8cbbdd9718ca74b97a47ca7304fe000c78",
+    "small": "0b1d31a1d059bcca4f8a25d5e76a610c4b3bc3d8e8b72e744bd4b8e818579962",
+    "wavy": "fa92e3e67d46887df1f7092a2cdf0b6abb2a522a98dc7942c5c5c7cddad531e6",
 }
 
 
@@ -368,8 +368,9 @@ class TestMain:
         ("signal", {"taps": "0"}, "signal: taps (filter length L) must be >= 1"),
         ("signal", {"rho": "1.0"}, "signal: rho must lie in [0, 1)"),
         ("signal", {"period": "0"}, "signal: period must be a positive integer"),
-        # the algorithm list is built into the ensemble spec, so reported under it
-        ("algorithm", {"algorithms": "rls, lms"}, "ensemble: unknown algorithms: ['lms']"),
+        # the ensemble spec checks the names, reported under the key that lists them
+        ("algorithm", {"algorithms": "rls, lms"},
+         "algorithm.algorithms: unknown algorithms: ['lms']"),
         ("ensemble", {"runs": "0"}, "ensemble: runs and iterations must be >= 1"),
         ("ensemble", {"iterations": "0"}, "ensemble: runs and iterations must be >= 1"),
         ("ensemble", {"master_seed": "-1"}, "ensemble: master_seed must be >= 0"),
@@ -732,6 +733,39 @@ def test_reproduce_full_scale_script_rejects_a_bad_period_before_running(tmp_pat
     assert list(tmp_path.rglob("*_period=4_*")) == []
     printed = capsys.readouterr()
     assert printed.out == "" and printed.err.startswith("configuration error: signal")
+
+
+@pytest.mark.parametrize("entry, written", [
+    (["run", "{cfg}"], 1),
+    (["run", "{cfg}", "--out", "{out}"], 1),
+    (["sweep", "{cfg}", "--param", "signal.period", "--values", "4,8"], 2),
+    (["sweep", "{cfg}", "--param", "signal.period", "--values", "4,8", "--out", "{out}"], 2),
+    (["sweep", "{cfg}", "--param", "output.directory", "--values", "elsewhere",
+      "--out", "{out}"], 1),
+    ("run_experiment", 1),
+    ("reproduce_full_scale", 2),
+], ids=["run", "run-out", "sweep", "sweep-out", "sweep-directory-out", "run_experiment-out_dir",
+        "reproduce_full_scale"])
+def test_every_metadata_names_its_outputs(tmp_path, entry, written):
+    # whichever entry point wrote it, a metadata file sits in the directory
+    # its resolved config names, beside the CSV it names
+    path, out = tmp_path / "c.ini", tmp_path / "out"
+    write_ini(path, {**TINY, "output": {**TINY["output"], "directory": str(tmp_path / "own")}})
+    if entry == "run_experiment":
+        assert run_experiment(parse_config(path), out_dir=out) == EXIT_OK
+    elif entry == "reproduce_full_scale":
+        assert reproduce_full_scale.main(["--config", str(path), "--out", str(out),
+                                          "--periods", "4,8"]) == 0
+    else:
+        assert main([a.format(cfg=path, out=out) for a in entry]) == EXIT_OK
+    metas = sorted(tmp_path.rglob("*_metadata.json"))
+    assert len(metas) == written
+    for meta_path in metas:
+        meta = json.loads(meta_path.read_text())
+        rc = meta["resolved_config"]["output"]
+        assert meta_path.parent == Path(rc["directory"])
+        assert meta["outputs"]["trajectory_csv"] == str(
+            Path(rc["directory"]) / f"{rc['prefix']}_trajectory.csv")
 
 
 @pytest.mark.parametrize("prefix", ['a"b', "a\\b", "a'b", 'x"""y', "ü", "experiment"])

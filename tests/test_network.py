@@ -7,20 +7,6 @@ from drlsnet.network import (CombinationMatrix, build_combination_matrix,
 from oracles import unreachable_from_0
 
 
-def bfs_reachable(adj):
-    """Independent connectivity oracle (plain breadth-first search)."""
-    K = adj.shape[0]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in range(K):
-            if adj[v, w] and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == K
-
-
 class TestBuildTopology:
     def test_ring_structure(self):
         adj = build_topology("ring", 4)
@@ -34,7 +20,7 @@ class TestBuildTopology:
 
     def test_random_geometric_connected(self):
         adj = build_topology("random_geometric", 20, radius=0.3, seed=1)
-        assert bfs_reachable(adj)
+        assert unreachable_from_0(adj) == []
         assert adj.diagonal().all()
 
     def test_random_geometric_reproducible(self):

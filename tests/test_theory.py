@@ -88,24 +88,6 @@ class TestMeanError:
         got = mean_error_step(prev, B, A, LAM)
         assert np.allclose(got.ravel(), want, rtol=1e-13, atol=0)
 
-    def test_scalar_hand_iteration(self):
-        # K=1, L=1, constant input power r: hand-iterable recursion
-        r, delta = 1.7, 0.01
-        phi_prev = delta
-        m_hand = -1.0
-        mean = np.array([[-1.0]])
-        EPhi = np.array([[[delta]]])
-        A = np.array([[1.0]])
-        for n in range(1000):
-            phi = LAM * phi_prev + r
-            m_hand = LAM * (phi_prev / phi) * m_hand
-            R = np.array([[[r]]])
-            EPhi_n = expected_phi_step(EPhi, R, LAM)
-            mean = mean_error_step(mean, transition_blocks(EPhi_n, EPhi), A, LAM)
-            assert abs(mean[0, 0] - m_hand) < 1e-12
-            EPhi = EPhi_n
-            phi_prev = phi
-
     def test_stationary_decay_bound(self):
         # E{Phi_n}^-1 E{Phi_{n-1}} -> I so the decay approaches lam^n
         topo = build_topology("ring", 4)
@@ -148,24 +130,6 @@ class TestKMatrix:
         msd, _ = theoretical_trajectory(amplitude_table(CONST, nodes=3), params, A,
                                         np.zeros(3), w, LAM, 0.01, 4000)
         assert msd[-1] < 1e-12
-
-    def test_scalar_hand_iteration(self):
-        # k_n = lam^2 (phi_{n-1}/phi_n)^2 k_{n-1} + sz2 * r / phi_n^2
-        r, delta, sz2 = 1.3, 0.01, 0.05
-        phi_prev, k_hand = delta, 1.0
-        A = np.array([[1.0]])
-        EPhi = np.array([[[delta]]])
-        Kmat = np.array([[[[1.0]]]])
-        work = np.empty_like(Kmat)
-        for n in range(1000):
-            phi = LAM * phi_prev + r
-            k_hand = LAM ** 2 * (phi_prev / phi) ** 2 * k_hand + sz2 * r / phi ** 2
-            R = np.array([[[r]]])
-            EPhi_n = expected_phi_step(EPhi, R, LAM)
-            Kmat = k_matrix_step(Kmat, transition_blocks(EPhi_n, EPhi), noise_term(EPhi_n, R),
-                                 A, LAM, np.array([sz2]), work)
-            assert abs(Kmat[0, 0, 0, 0] - k_hand) < 1e-12 * max(1.0, k_hand)
-            EPhi, phi_prev = EPhi_n, phi
 
     def test_blockwise_equals_dense(self):
         # contract: block application of A^T (x) I matches the dense product
