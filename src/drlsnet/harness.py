@@ -3,12 +3,12 @@
 Runs are vectorized in chunks (leading batch axis) but reduced into the
 averaged curves one run at a time, in run order, so the results do not
 depend on the chunk size, nor on the length of the time blocks in which
-a chunk's signals are generated.  Every random stream is derived from
-the master seed through a fixed SeedSequence spawn layout:
+a chunk's signals are generated.  Every random stream is the master
+seed's SeedSequence with a fixed spawn key, the one `spawn` would give it:
 
-    root -> [w_star, run_0, run_1, ...]
-    run_r -> [node_0, ..., node_{K-1}]
-    node_k -> [u innovations, observation noise]
+    w_star                                   (0,)
+    run r, node k: u innovations             (1 + r, k, 0)
+                   observation noise         (1 + r, k, 1)
 """
 
 from __future__ import annotations
@@ -118,8 +118,7 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
     if np.ndim(amplitude) != 2 or len(amplitude) != K:
         raise ValueError(f"expected a ({K}, T) amplitude table, got {np.shape(amplitude)}")
 
-    children = np.random.SeedSequence(spec.master_seed).spawn(1 + R)
-    w_star = make_ground_truth(L, children[0])
+    w_star = make_ground_truth(L, np.random.SeedSequence(spec.master_seed, spawn_key=(0,)))
     sigma_z = np.sqrt(noise_variances)
 
     algos = [a for a in ALGORITHMS if a in spec.algorithms]
@@ -139,9 +138,9 @@ def run_ensemble(combiner: CombinationMatrix, noise_variances: np.ndarray,
         x = np.empty((B, K, L))  # the step's regressors, newest tap first
         # each node-run: its column (b, k) of the block and its two generators,
         # with the generator's carry (None before its first block) alongside
-        node_runs = [(b, k, *map(np.random.default_rng, node.spawn(2)))
-                     for b, r in enumerate(run_ids)
-                     for k, node in enumerate(children[1 + r].spawn(K))]
+        node_runs = [(b, k, *(np.random.default_rng(np.random.SeedSequence(
+                         spec.master_seed, spawn_key=(1 + r, k, j))) for j in (0, 1)))
+                     for b, r in enumerate(run_ids) for k in range(K)]
         carries = [None] * len(node_runs)
 
         # P_{k,n} depends only on node k's regressors, lam and delta, so

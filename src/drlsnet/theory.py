@@ -7,20 +7,17 @@ Three coupled recursions are iterated per time step n:
   second moment          K_n = cA (lam^2 B K_{n-1} B^T
                                    + E{Phi_n}^-1 Sigma_z R_x(n) E{Phi_n}^-1) cA^T
 
-with B = E{Phi_n}^-1 E{Phi_{n-1}} and cA = A^T (x) I_L.  Everything is kept
-in block form: E{Phi} as (K, L, L) diagonal blocks, the mean error as
-(K, L), and K_n as a (K, K, L, L) block grid, so the expanded KL x KL
-matrices are never formed.  The network MSD is tr(K_n)/K.
-
-R_x(n), E{Phi_n}, B and the noise term Phi^-1 R_x(n) Phi^-1 depend on a
-node only through its row of the (K, T) sigma_x table, read at n mod T, so
-they are solved once per distinct row and gathered per node.  The K_n step
-runs in place on two grids (3.3 MB each at K=20, L=32): B K_{n-1} B^T is a
-batched matmul over the (K, K) grid of blocks, and cA on both sides is two
-GEMMs of A^T against (K, K*L*L) reshapes of the grid.
+with B = E{Phi_n}^-1 E{Phi_{n-1}} and cA = A^T (x) I_L.  A statistics source
+yields per step the per-node B_n and noise term E{Phi_n}^-1 R_x(n) E{Phi_n}^-1
+as (K, L, L) stacks; `paper_statistics` runs the first recursion once per
+distinct sigma_x row.  `propagate` owns the rest in block form: the mean error
+(K, L), K_n as a (K, K, L, L) grid stepped in place on two grids (3.3 MB each
+at K=20, L=32), the network MSD tr(K_n)/K and the breakdown checks.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -103,48 +100,56 @@ def network_msd(Kmat: np.ndarray) -> float:
     return float(np.einsum("kii->", Kmat[idx, idx])) / K
 
 
-def theoretical_trajectory(amplitude: np.ndarray,
-                           params: ColoredProcessParams,
-                           A: np.ndarray, noise_variances: np.ndarray,
-                           w_star: np.ndarray, lam: float, delta: float,
-                           N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Iterate all three recursions for n = 1..N.
+def paper_statistics(rows: np.ndarray, params: ColoredProcessParams, lam: float,
+                     EPhi: np.ndarray):
+    """The paper's source: for n = 1, 2, ..., the (G, L, L) stacks B_n and
+    E{Phi_n}^-1 R_x(n) E{Phi_n}^-1 of the (G, T) distinct sigma_x `rows`, from
+    their E{Phi_0} `EPhi`; raises TheoryError at a singular E{Phi_n} block."""
+    # R_x(n) = Sigma_x(n) R_u Sigma_x(n) per row, Sigma_x(n) = diag(sigma_x(n-i)),
+    # entrywise; sigma_x(n) depends on n only through n mod T
+    R_u = colored_autocorrelation(params)
+    lags = np.arange(params.length)
+    for n in itertools.count(1):
+        s = rows[:, (n - lags) % rows.shape[1]]
+        R_x_n = R_u * (s[:, :, None] * s[:, None, :])
+        EPhi_n = expected_phi_step(EPhi, R_x_n, lam)
+        B = transition_blocks(EPhi_n, EPhi)
+        noise = np.linalg.solve(EPhi_n, R_x_n)                         # Phi^-1 R_x
+        yield B, np.linalg.solve(EPhi_n, np.swapaxes(noise, -1, -2))  # Phi^-1 R_x Phi^-1
+        EPhi = EPhi_n
 
-    Returns (msd, mean_err_norm), each (N,): tr(K_n)/K and ||E{werr_n}||.
-    `amplitude` is the (K, T) table of sigma_x: row k holds node k's
-    sigma_x(n) for n = 0..T-1.  Raises TheoryError if an E{Phi_n} block
-    is singular, tr(K_n)/K or ||E{werr_n}|| is not finite, or tr(K_n)/K
-    falls below -PSD_TOL (an absolute tolerance).
-    """
+
+def propagate(statistics, A: np.ndarray, noise_variances: np.ndarray, mean_err: np.ndarray,
+              Kmat: np.ndarray, lam: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Carry E{werr_0} and K_0 through n = 1..N, K_n stepped in place in `Kmat`,
+    on exactly N per-node (B_n, noise_n) pairs of (K, L, L) stacks pulled from
+    `statistics`.  Returns (msd, mean_err_norm), each (N,): tr(K_n)/K and
+    ||E{werr_n}||; raises TheoryError if either is not finite or tr(K_n)/K < -PSD_TOL."""
+    work, msd, err_norm = np.empty_like(Kmat), np.empty(N), np.empty(N)
+    for n, (B, noise) in zip(range(1, N + 1), statistics):
+        mean_err = mean_error_step(mean_err, B, A, lam)
+        Kmat = k_matrix_step(Kmat, B, noise, A, lam, noise_variances, work)
+        m, e = network_msd(Kmat), float(np.linalg.norm(mean_err))
+        if not (np.isfinite(m) and np.isfinite(e)):
+            raise TheoryError(f"theory recursions not finite at n={n}: tr/K={m:.3e}, "
+                              f"||E{{werr}}||={e:.3e}")
+        if m < -PSD_TOL:
+            raise TheoryError(f"K_n lost positive semidefiniteness at n={n}: tr/K={m:.3e}")
+        msd[n - 1], err_norm[n - 1] = m, e
+    return msd, err_norm
+
+
+def theoretical_trajectory(amplitude: np.ndarray, params: ColoredProcessParams,
+                           A: np.ndarray, noise_variances: np.ndarray, w_star: np.ndarray,
+                           lam: float, delta: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's model for n = 1..N, `propagate` fed by `paper_statistics`;
+    `amplitude` is the (K, T) sigma_x table, row k node k's sigma_x(n), n < T."""
     K, L = A.shape[0], params.length
     if np.ndim(amplitude) != 2 or len(amplitude) != K:
         raise ValueError(f"expected a ({K}, T) amplitude table, got {np.shape(amplitude)}")
     # per-row statistics; `[group]` gathers a contiguous per-node copy of them
     rows, group = np.unique(amplitude, axis=0, return_inverse=True)
     EPhi, mean_err, Kmat = initial_theory_state(K, L, delta, w_star)
-    EPhi, work = EPhi[:len(rows)], np.empty_like(Kmat)
-    msd, err_norm = np.empty(N), np.empty(N)
-    # R_x(n) = Sigma_x(n) R_u Sigma_x(n) per row, Sigma_x(n) = diag(sigma_x(n-i)),
-    # entrywise; sigma_x(n) depends on n only through n mod T
-    R_u = colored_autocorrelation(params)
-    lags = np.arange(L)
-    for n in range(1, N + 1):
-        s = rows[:, (n - lags) % rows.shape[1]]
-        R_x_n = R_u * (s[:, :, None] * s[:, None, :])
-        EPhi_n = expected_phi_step(EPhi, R_x_n, lam)
-        B = transition_blocks(EPhi_n, EPhi)[group]
-        noise = np.linalg.solve(EPhi_n, R_x_n)                      # Phi^-1 R_x
-        noise = np.linalg.solve(EPhi_n, np.swapaxes(noise, -1, -2))  # Phi^-1 R_x Phi^-1
-        mean_err = mean_error_step(mean_err, B, A, lam)
-        Kmat = k_matrix_step(Kmat, B, noise[group], A, lam, noise_variances, work)
-        EPhi = EPhi_n
-        m = network_msd(Kmat)
-        e = float(np.linalg.norm(mean_err))
-        if not (np.isfinite(m) and np.isfinite(e)):
-            raise TheoryError(f"theory recursions not finite at n={n}: tr/K={m:.3e}, "
-                              f"||E{{werr}}||={e:.3e}")
-        if m < -PSD_TOL:
-            raise TheoryError(f"K_n lost positive semidefiniteness at n={n}: tr/K={m:.3e}")
-        msd[n - 1] = m
-        err_norm[n - 1] = e
-    return msd, err_norm
+    per_node = ((B[group], noise[group])
+                for B, noise in paper_statistics(rows, params, lam, EPhi[:len(rows)]))
+    return propagate(per_node, A, noise_variances, mean_err, Kmat, lam, N)

@@ -165,6 +165,28 @@ def per_node_theory(amplitude, params, A, noise_variances, w_star, lam, delta,
     return msd, err_norm
 
 
+def substituted_statistics(amplitude, params, lam: float, delta: float, seed: int, N: int):
+    """ROADMAP item 12's statistics source: per-node (B_n, noise_n) for n = 1..N
+    with lam B_n = E{I - g_n x_n^T} and noise_n = E{g_n g_n^T}, the means over
+    400 input-only RLS filters (no network, no noise) per distinct sigma_x
+    row of `amplitude`.  Their streams come from the entropy (seed, 12), a
+    branch apart from every harness stream."""
+    rows, group = np.unique(amplitude, axis=0, return_inverse=True)
+    G, L, runs = len(rows), params.length, 400
+    U = np.empty((N + L - 1, G, runs))  # scaled input samples, as the harness holds them
+    for i, ss in enumerate(np.random.SeedSequence([seed, 12]).spawn(G * runs)):
+        X = generate_node_signals(rows[i // runs], params, np.zeros(L), 0.0, N,
+                                  *map(np.random.default_rng, ss.spawn(2)))[0]
+        U[:L - 1, i // runs, i % runs], U[L - 1:, i // runs, i % runs] = X[0, :0:-1], X[:, 0]
+    P = init_state(L, delta, batch_shape=(G, runs)).P
+    work = np.empty_like(P)
+    for n in range(N):
+        x = U[n:n + L][::-1].transpose(1, 2, 0)  # (G, runs, L), newest tap first
+        g = update_inverse_correlation(P, x, lam, work)
+        B = (np.eye(L) - g[..., :, None] * x[..., None, :]).mean(axis=1) / lam
+        yield B[group], (g[..., :, None] * g[..., None, :]).mean(axis=1)[group]
+
+
 def blas_step(P, x, lam):
     """(P_n, gain) in the package's arithmetic, written out with fresh arrays."""
     Px = np.matmul(P, x[..., None])[..., 0]
@@ -179,7 +201,9 @@ def blas_combine(A, psi):
 
 def ensemble_signals(comb, nv, amplitude, params, spec):
     """(w_star, X, d) for every run, drawn through the harness's seed layout
-    in one block per node-run: X of shape (N, R, K, L), d of shape (N, R, K)."""
+    in one block per node-run: X of shape (N, R, K, L), d of shape (N, R, K).
+    The layout is spelled here with `spawn`, where the harness names each
+    stream's spawn key, so the tests that use this hold the two equal."""
     K, L, N, R = comb.A.shape[0], params.length, spec.iterations, spec.runs
     children = np.random.SeedSequence(spec.master_seed).spawn(1 + R)
     w_star = make_ground_truth(L, children[0])

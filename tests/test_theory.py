@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from drlsnet.network import build_combination_matrix, build_topology
 from drlsnet.signals import ColoredProcessParams, make_ground_truth
 from drlsnet.theory import (TheoryError, expected_phi_step,
                             initial_theory_state, k_matrix_step,
-                            mean_error_step, network_msd,
+                            mean_error_step, network_msd, propagate,
                             theoretical_trajectory, transition_blocks)
 from oracles import Profile, amplitude_table, input_covariance, noise_term, per_node_theory
 
@@ -394,6 +395,69 @@ class TestTrajectory:
             with pytest.raises(ValueError, match=r"expected a \(2, T\) amplitude table"):
                 theoretical_trajectory(amplitude, params, np.eye(2), np.full(2, 0.05),
                                        make_ground_truth(2, 9), LAM, 0.01, 10)
+
+
+class TestStatisticsSource:
+    """`propagate` fed by hand-built sources, and the paper's source pulled
+    no further than the propagator asks."""
+
+    b, q, sz2 = 0.97, 0.3, 0.02
+
+    def constant_pair(self):
+        return np.array([[[self.b]]]), np.array([[[self.q]]])
+
+    def test_constant_source_matches_longhand(self):
+        # K = L = 1 and a constant (b, q): m_n = lam b m_{n-1} and
+        # k_n = lam^2 b^2 k_{n-1} + sigma_z^2 q, from m_0 = -w*, k_0 = w*^2
+        _, mean_err, Kmat = initial_theory_state(1, 1, 0.01, np.array([1.0]))
+        msd, err_norm = propagate(itertools.repeat(self.constant_pair()), np.eye(1),
+                                  np.array([self.sz2]), mean_err, Kmat, LAM, 400)
+        m, k = -1.0, 1.0
+        for n in range(400):
+            m = LAM * self.b * m
+            k = LAM ** 2 * self.b ** 2 * k + self.sz2 * self.q
+            assert abs(msd[n] - k) <= 1e-12
+            assert abs(err_norm[n] - abs(m)) <= 1e-12
+
+    @pytest.mark.parametrize("N", [1, 7])
+    def test_pulls_exactly_n_steps(self, N):
+        pulls = 0
+
+        def counting():
+            nonlocal pulls
+            while True:
+                pulls += 1
+                yield self.constant_pair()
+
+        _, mean_err, Kmat = initial_theory_state(1, 1, 0.01, np.array([1.0]))
+        msd, _ = propagate(counting(), np.eye(1), np.array([self.sz2]), mean_err, Kmat,
+                           LAM, N)
+        assert pulls == N and msd.shape == (N,)
+
+    def test_singular_block_raises_at_its_step_only(self, monkeypatch):
+        # E{Phi_3} singular: the trajectory stops at n=3 after two network
+        # steps, and a 2-step trajectory never computes E{Phi_3}
+        phi_calls, mean_calls = [], []
+        phi_step, mean_step = theory.expected_phi_step, theory.mean_error_step
+
+        def singular_third(EPhi_prev, R_x_n, lam):
+            phi_calls.append(1)
+            out = phi_step(EPhi_prev, R_x_n, lam)
+            return np.zeros_like(out) if len(phi_calls) == 3 else out
+
+        monkeypatch.setattr(theory, "expected_phi_step", singular_third)
+        monkeypatch.setattr(theory, "mean_error_step",
+                            lambda *args: mean_calls.append(1) or mean_step(*args))
+        K, L = 3, 2
+        args = (amplitude_table(PULSED4, nodes=K), ColoredProcessParams(rho=0.5, length=L),
+                build_combination_matrix(build_topology("ring", K)).A, np.full(K, 0.05),
+                make_ground_truth(L, 1), LAM, 0.01)
+        with pytest.raises(TheoryError, match="not invertible"):
+            theoretical_trajectory(*args, 5)
+        assert (len(phi_calls), len(mean_calls)) == (3, 2)
+        phi_calls.clear()
+        msd, _ = theoretical_trajectory(*args, 2)
+        assert len(phi_calls) == 2 and np.isfinite(msd).all()
 
 
 class TestFullScale:
